@@ -56,10 +56,14 @@ def word_to_index(word: Sequence[int], d: int) -> int:
     return idx
 
 
-def truncated_dim(d: int, N: int) -> int:
-    """Number of words of length <= N over ``1..d``."""
+def _check_dims(d: int, N: int) -> None:
     if d < 1 or N < 0:
         raise ValueError("need d >= 1 and N >= 0")
+
+
+def truncated_dim(d: int, N: int) -> int:
+    """Number of words of length <= N over ``1..d``."""
+    _check_dims(d, N)
     if d == 1:
         return N + 1
     return (d ** (N + 1) - 1) // (d - 1)
@@ -71,8 +75,7 @@ class TruncatedTensor:
     __slots__ = ("d", "N", "field", "levels")
 
     def __init__(self, d: int, N: int, levels: Sequence[DenseTensor], field: str = RATIONAL):
-        if d < 1 or N < 0:
-            raise ValueError("need d >= 1 and N >= 0")
+        _check_dims(d, N)
         scalars.check_field(field)
         levels = list(levels)
         if len(levels) != N + 1:
@@ -86,12 +89,19 @@ class TruncatedTensor:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "levels", levels)
 
+    @classmethod
+    def _trusted(cls, d: int, N: int, levels: list, field: str) -> "TruncatedTensor":
+        """Wrap levels the caller guarantees: N + 1 tensors of ``field``,
+        level n of shape ``(d,) * n``."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "d", d)
+        object.__setattr__(x, "N", N)
+        object.__setattr__(x, "field", field)
+        object.__setattr__(x, "levels", levels)
+        return x
+
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedTensor is immutable")
-
-    @classmethod
-    def zero(cls, d: int, N: int, field: str = RATIONAL) -> "TruncatedTensor":
-        return cls(d, N, [DenseTensor.zeros((d,) * n, field) for n in range(N + 1)], field)
 
     @classmethod
     def from_flat_levels(cls, d, N, flat_levels, field: str = RATIONAL) -> "TruncatedTensor":
@@ -131,23 +141,23 @@ class TruncatedTensor:
 
     def __add__(self, other: "TruncatedTensor") -> "TruncatedTensor":
         self._compatible(other)
-        return TruncatedTensor(
+        return TruncatedTensor._trusted(
             self.d, self.N, [a + b for a, b in zip(self.levels, other.levels)], self.field
         )
 
     def __sub__(self, other: "TruncatedTensor") -> "TruncatedTensor":
         self._compatible(other)
-        return TruncatedTensor(
+        return TruncatedTensor._trusted(
             self.d, self.N, [a - b for a, b in zip(self.levels, other.levels)], self.field
         )
 
     def scale(self, lam) -> "TruncatedTensor":
         lam = scalars.coerce(self.field, lam)
         levels = [
-            DenseTensor(lvl.shape, [lam * c for c in lvl.coeffs], self.field)
+            DenseTensor._trusted(lvl.shape, [lam * c for c in lvl.coeffs], self.field)
             for lvl in self.levels
         ]
-        return TruncatedTensor(self.d, self.N, levels, self.field)
+        return TruncatedTensor._trusted(self.d, self.N, levels, self.field)
 
     def __mul__(self, other: "TruncatedTensor") -> "TruncatedTensor":
         return concat_product(self, other)
@@ -170,24 +180,31 @@ class TruncatedTensor:
 
 def unit(d: int, N: int, field: str = RATIONAL) -> TruncatedTensor:
     """The algebra unit: 1 at level 0, zero above."""
-    z = TruncatedTensor.zero(d, N, field)
-    levels = list(z.levels)
-    levels[0] = DenseTensor.scalar(scalars.one(field), field)
-    return TruncatedTensor(d, N, levels, field)
+    return basis_word(d, N, (), field)
 
 
 def basis_word(d: int, N: int, word: Sequence[int], field: str = RATIONAL) -> TruncatedTensor:
     """The basis element e_w for a word ``w`` of length <= N."""
+    _check_dims(d, N)
+    zero = scalars.zero(scalars.check_field(field))
     word = tuple(word)
     if len(word) > N:
         raise IndexError(f"word of length {len(word)} exceeds truncation level {N}")
-    z = TruncatedTensor.zero(d, N, field)
-    levels = list(z.levels)
-    n = len(word)
-    flat = [scalars.zero(field)] * (d ** n)
-    flat[word_to_index(word, d)] = scalars.one(field)
-    levels[n] = DenseTensor((d,) * n, flat, field)
-    return TruncatedTensor(d, N, levels, field)
+    flats = [[zero] * (d ** n) for n in range(N + 1)]
+    flats[len(word)][word_to_index(word, d)] = scalars.one(field)
+    levels = [DenseTensor._trusted((d,) * n, flat, field) for n, flat in enumerate(flats)]
+    return TruncatedTensor._trusted(d, N, levels, field)
+
+
+def _accumulate(out: list, a: list, b: list) -> None:
+    """``out += a (x) b`` on flat coefficient lists: out[i*lb + j] += a_i * b_j."""
+    lb = len(b)
+    for i, av in enumerate(a):
+        if not av:
+            continue
+        base = i * lb
+        for j, bv in enumerate(b):
+            out[base + j] += av * bv
 
 
 def concat_product(x: TruncatedTensor, y: TruncatedTensor) -> TruncatedTensor:
@@ -199,45 +216,46 @@ def concat_product(x: TruncatedTensor, y: TruncatedTensor) -> TruncatedTensor:
     for n in range(N + 1):
         out = [zero] * (d ** n)
         for k in range(n + 1):
-            a = x.levels[k].coeffs
-            b = y.levels[n - k].coeffs
-            lb = len(b)
-            for i, av in enumerate(a):
-                if av == zero:
-                    continue
-                base = i * lb
-                for j, bv in enumerate(b):
-                    out[base + j] += av * bv
-        out_levels.append(DenseTensor((d,) * n, out, field))
-    return TruncatedTensor(d, N, out_levels, field)
+            _accumulate(out, x.levels[k].coeffs, y.levels[n - k].coeffs)
+        out_levels.append(DenseTensor._trusted((d,) * n, out, field))
+    return TruncatedTensor._trusted(d, N, out_levels, field)
 
 
 def inverse(x: TruncatedTensor) -> TruncatedTensor:
     """Two-sided inverse under the truncated product.
 
-    Normalize so the level-0 scalar is 1, then sum the geometric series of
-    ``1 - x_hat``: because that difference has no level-0 part, its powers
-    beyond N vanish under truncation and the series is an exact finite sum.
+    With ``a`` the level-0 scalar of ``x``, the inverse ``y`` is solved for
+    level by level from ``x y = 1``: level 0 gives ``y_0 = 1/a`` and level
+    ``n >= 1`` gives
+
+        y_n = -(1/a) sum_{k=1}^{n} x_k (x) y_{n-k},
+
+    which only reads levels of ``y`` already computed.  That is one product's
+    worth of multiply-adds.  In this algebra a right inverse is also a left
+    inverse, so ``y x = 1`` holds as well.
     """
+    d, N, field = x.d, x.N, x.field
+    zero = scalars.zero(field)
     a = x.scalar_part()
-    if a == scalars.zero(x.field):
+    if a == zero:
         raise NotInvertibleError("level-0 scalar is zero")
-    one = scalars.one(x.field)
-    x_hat = x.scale(one / a)
-    y = unit(x.d, x.N, x.field) - x_hat
-    acc = unit(x.d, x.N, x.field)
-    power = unit(x.d, x.N, x.field)
-    for _ in range(x.N):
-        power = concat_product(power, y)
-        acc = acc + power
-    return acc.scale(one / a)
+    inv_a = scalars.one(field) / a
+    neg_inv_a = -inv_a
+    ys = [[inv_a]]
+    for n in range(1, N + 1):
+        acc = [zero] * (d ** n)
+        for k in range(1, n + 1):
+            _accumulate(acc, x.levels[k].coeffs, ys[n - k])
+        ys.append([neg_inv_a * c for c in acc])
+    levels = [DenseTensor._trusted((d,) * n, y, field) for n, y in enumerate(ys)]
+    return TruncatedTensor._trusted(d, N, levels, field)
 
 
 def project(x: TruncatedTensor, M: int) -> TruncatedTensor:
     """Keep levels 0..M.  A product morphism: commutes with multiplication."""
     if not 0 <= M <= x.N:
         raise ValueError(f"projection level {M} out of range 0..{x.N}")
-    return TruncatedTensor(x.d, M, x.levels[: M + 1], x.field)
+    return TruncatedTensor._trusted(x.d, M, x.levels[: M + 1], x.field)
 
 
 # -- JSON format -----------------------------------------------------------

@@ -76,6 +76,16 @@ class DenseTensor:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", coeffs)
 
+    @classmethod
+    def _trusted(cls, shape: tuple, coeffs: list, field: str) -> "DenseTensor":
+        """Wrap values the caller guarantees: a checked shape, a list of
+        exactly that many coefficients, each already of ``field``'s type."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "shape", shape)
+        object.__setattr__(t, "field", field)
+        object.__setattr__(t, "coeffs", coeffs)
+        return t
+
     def __setattr__(self, name, value):
         raise AttributeError("DenseTensor is immutable")
 
@@ -194,12 +204,12 @@ def add(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     if a.shape != b.shape:
         raise ShapeMismatchError(f"cannot add shapes {a.shape} and {b.shape}")
     scalars.same_field(a.field, b.field)
-    return DenseTensor(a.shape, [x + y for x, y in zip(a.coeffs, b.coeffs)], a.field)
+    return DenseTensor._trusted(a.shape, [x + y for x, y in zip(a.coeffs, b.coeffs)], a.field)
 
 
 def scale(lam, a: DenseTensor) -> DenseTensor:
     lam = scalars.coerce(a.field, lam)
-    return DenseTensor(a.shape, [lam * c for c in a.coeffs], a.field)
+    return DenseTensor._trusted(a.shape, [lam * c for c in a.coeffs], a.field)
 
 
 def tensor_product(a: DenseTensor, b: DenseTensor) -> DenseTensor:
@@ -210,7 +220,7 @@ def tensor_product(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     """
     scalars.same_field(a.field, b.field)
     coeffs = [x * y for x in a.coeffs for y in b.coeffs]
-    return DenseTensor(a.shape + b.shape, coeffs, a.field)
+    return DenseTensor._trusted(a.shape + b.shape, coeffs, a.field)
 
 
 def multi_tensor_product(factors: Sequence[DenseTensor]) -> DenseTensor:

@@ -71,12 +71,6 @@ class RankDecomposition:
             for l in range(self.r)
         ]
 
-    def expand(self, shape) -> DenseTensor:
-        out = DenseTensor.zeros(shape, self.field)
-        for u, v in self.terms():
-            out = out + multi_tensor_product([u, v])
-        return out
-
 
 def _as_fraction_matrix(M) -> List[List[Fraction]]:
     if isinstance(M, DenseTensor):
@@ -129,8 +123,9 @@ def rank_decompose_rref(M) -> RankDecomposition:
     """Exact rank decomposition via the echelon form.
 
     D1^T collects the pivot columns of M, D2 the non-zero rows of the
-    echelon form; the reconstruction M == D1^T D2 is asserted exactly, so a
-    failure here is an implementation bug, not bad input.
+    echelon form; the reconstruction M == D1^T D2 is checked exactly, and a
+    mismatch raises :class:`RuntimeError`: it is an implementation bug, not
+    bad input.
     """
     A = _as_fraction_matrix(M)
     R, pivots = rref(A)
@@ -143,7 +138,8 @@ def rank_decompose_rref(M) -> RankDecomposition:
         [sum((d1[l][i] * d2[l][j] for l in range(r)), Fraction(0)) for j in range(m)]
         for i in range(n)
     ]
-    assert recon == A, "RREF decomposition failed to reconstruct its input"
+    if recon != A:
+        raise RuntimeError("RREF decomposition failed to reconstruct its input")
     return RankDecomposition(r=r, d1=d1, d2=d2, field=RATIONAL)
 
 

@@ -20,6 +20,9 @@ COMPLEX = "complex"
 
 FIELDS = (RATIONAL, REAL, COMPLEX)
 
+# the one Python type every coefficient of a field has
+_TYPES = {RATIONAL: Fraction, REAL: float, COMPLEX: complex}
+
 # absolute + relative tolerance for float/complex component comparison
 EPS_F = 1e-9
 
@@ -63,6 +66,8 @@ def coerce(field: str, value):
     exactness outside the rational field).  Floats do not embed into the
     rational field: there is no honest way back to an intended ratio.
     """
+    if type(value) is _TYPES.get(field):
+        return value
     check_field(field)
     if field == RATIONAL:
         if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
@@ -100,7 +105,7 @@ def to_json(field: str, value):
 def from_json(field: str, obj):
     """Decode one scalar from the JSON tensor formats."""
     if field == RATIONAL:
-        if isinstance(obj, (str, int)):
+        if isinstance(obj, (str, int)) and not isinstance(obj, bool):
             return Fraction(obj)
         raise ValueError(f"rational scalars must be 'p/q' strings, got {obj!r}")
     if field == REAL:

@@ -102,11 +102,12 @@ def segment_signature(increment: Sequence[float], N: int, interval=(0.0, 1.0)) -
         raise ValueError("truncation level must be >= 0")
     inc = DenseTensor.vector([float(c) for c in increment], REAL)
     d = inc.shape[0]
-    levels = [DenseTensor.scalar(1.0, REAL)]
+    levels = [DenseTensor._trusted((), [1.0], REAL)]
     for n in range(1, N + 1):
         nxt = tensor_product(levels[-1], inc)
-        levels.append(DenseTensor(nxt.shape, [c / n for c in nxt.coeffs], REAL))
-    return Signature(TruncatedTensor(d, N, levels, REAL), (float(interval[0]), float(interval[1])))
+        levels.append(DenseTensor._trusted(nxt.shape, [c / n for c in nxt.coeffs], REAL))
+    value = TruncatedTensor._trusted(d, N, levels, REAL)
+    return Signature(value, (float(interval[0]), float(interval[1])))
 
 
 def _clipped_increments(path: PiecewiseLinearPath, s: float, t: float):
@@ -152,6 +153,8 @@ def oracle_signature(
     summation order is fixed (cells left to right, levels top-down within a
     cell) so repeated runs are bit-identical.
     """
+    if N < 0:
+        raise ValueError("truncation level must be >= 0")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if not 0.0 <= s <= t <= 1.0:
@@ -176,8 +179,8 @@ def oracle_signature(
                 base = i * d
                 for c in range(d):
                     dst[base + c] += sv * dx[c]
-    value = TruncatedTensor.from_flat_levels(d, N, levels, REAL)
-    return Signature(value, (float(s), float(t)))
+    levels = [DenseTensor._trusted((d,) * n, flat, REAL) for n, flat in enumerate(levels)]
+    return Signature(TruncatedTensor._trusted(d, N, levels, REAL), (float(s), float(t)))
 
 
 def read_path_csv(text_or_file) -> PiecewiseLinearPath:

@@ -19,6 +19,7 @@ from tenalg import (
     word_to_index,
 )
 from tenalg.algebra import dump_tt, load_tt, tt_from_json
+from tenalg.scalars import COMPLEX, REAL
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
@@ -57,6 +58,22 @@ def test_unit_shape():
     assert e.level(1) == DenseTensor.zeros((2,))
     assert e.level(2) == DenseTensor.zeros((2, 2))
     assert unit(1, 0).levels[0] == DenseTensor.scalar(1)
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: unit(0, 2), ValueError),
+        (lambda: unit(2, -1), ValueError),
+        (lambda: unit(2, 2, "integer"), ValueError),
+        (lambda: basis_word(2, 2, (1,), "integer"), ValueError),
+        (lambda: basis_word(2, 2, (3,)), IndexError),
+        (lambda: basis_word(2, 1, (1, 1)), IndexError),
+    ],
+)
+def test_unit_and_basis_word_check_arguments(build, error):
+    with pytest.raises(error):
+        build()
 
 
 @settings(deadline=None)
@@ -210,6 +227,78 @@ def test_inverse_matches_level2_closed_form(x):
     assert inverse(x) == expected
 
 
+def geometric_inverse(x):
+    """Reference inverse: (1/a) sum_{j=0}^{N} (1 - x/a)^j, a finite series
+    because 1 - x/a has no level-0 part."""
+    inv_a = 1 / x.scalar_part()
+    e = unit(x.d, x.N, x.field)
+    y = e - x.scale(inv_a)
+    acc = power = e
+    for _ in range(x.N):
+        power = concat_product(power, y)
+        acc = acc + power
+    return acc.scale(inv_a)
+
+
+float_coeffs = {
+    REAL: st.floats(-1, 1),
+    COMPLEX: st.complex_numbers(max_magnitude=1),
+}
+
+
+@st.composite
+def float_elements(draw, field):
+    """Elements over ``field`` with d <= 3, N <= 5 and |level 0| in [1, 2]."""
+    d = draw(st.integers(1, 3))
+    N = draw(st.integers(0, 5))
+    coeff = float_coeffs[field]
+    levels = [[draw(coeff) for _ in range(d**n)] for n in range(N + 1)]
+    a = draw(st.floats(1, 2)) * draw(st.sampled_from([1, -1]))
+    if field == COMPLEX:
+        a *= complex(*draw(st.sampled_from([(1, 0), (0, 1), (0.6, 0.8)])))
+    levels[0] = [a]
+    return TruncatedTensor.from_flat_levels(d, N, levels, field)
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_two_sided_inverse_float_fields(field, data):
+    x = data.draw(float_elements(field))
+    e = unit(x.d, x.N, field)
+    y = inverse(x)
+    assert concat_product(x, y) == e
+    assert concat_product(y, x) == e
+
+
+@settings(deadline=None)
+@given(elements(nonzero_scalar=True))
+def test_inverse_matches_geometric_series_exactly(x):
+    assert inverse(x) == geometric_inverse(x)
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_inverse_matches_geometric_series_float_fields(field, data):
+    x = data.draw(float_elements(field))
+    assert inverse(x) == geometric_inverse(x)
+
+
+def test_inverse_level_zero_only():
+    assert inverse(tt(3, 0, [[F(-4, 3)]])) == tt(3, 0, [[F(-3, 4)]])
+    y = inverse(TruncatedTensor.from_flat_levels(2, 0, [[0.5]], REAL))
+    assert y.N == 0 and y.scalar_part() == 2.0
+
+
+def test_inverse_one_letter_is_power_series():
+    # d = 1 is the power-series ring truncated at t^N: 1/(1 + t) = sum (-t)^n
+    assert inverse(tt(1, 4, [[1], [1], [0], [0], [0]])) == tt(1, 4, [[1], [-1], [1], [-1], [1]])
+    # 1/(2 - t) = sum t^n / 2^(n+1)
+    x = tt(1, 3, [[2], [-1], [0], [0]])
+    assert inverse(x) == tt(1, 3, [[F(1, 2)], [F(1, 4)], [F(1, 8)], [F(1, 16)]])
+
+
 # -- projection --------------------------------------------------------------------
 
 
@@ -287,3 +376,21 @@ def test_json_golden_shape():
         '{"d": 2, "N": 2, "field": "rational", '
         '"levels": [["1"], ["0", "0"], ["0", "0", "0", "0"]]}'
     )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"d": 2, "N": 2, "field": "rational", "levels": [["1"], ["0", "0"]]}',
+        '{"d": 2, "N": 1, "field": "rational", "levels": [["1"], ["0", "0"], ["0", "0", "0", "0"]]}',
+        '{"d": 2, "N": 1, "field": "rational", "levels": [["1"], ["0", "0", "0"]]}',
+        '{"d": 2, "N": 1, "field": "rational", "levels": [[], ["0", "0"]]}',
+        '{"d": 2, "N": 1, "field": "rational", "levels": [["1"], ["0", 0.5]]}',
+        '{"d": 2, "N": 1, "field": "real", "levels": [[1.0], [true, 0.0]]}',
+    ],
+    ids=["few-levels", "many-levels", "long-level", "empty-level", "float-in-rational",
+         "true-in-real"],
+)
+def test_json_loader_rejects_malformed(text):
+    with pytest.raises(ValueError):
+        load_tt(text)

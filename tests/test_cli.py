@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from tenalg.cli import main
 
 B_JSON = '{"shape": [2, 2], "field": "rational", "coeffs": ["1", "0", "1", "1"]}'
@@ -161,6 +163,24 @@ def test_algebra_inv_zero_scalar_is_user_error(tmp_path, capsys):
     code, _, err = run(capsys, "algebra", "inv", str(f))
     assert code == 1
     assert "level-0 scalar is zero" in err
+
+
+@pytest.mark.parametrize(
+    "levels, field",
+    [
+        ('[["1"], ["0", "0"]]', "rational"),  # N = 2 needs three levels
+        ('[["1"], ["0", "0", "0"], ["0", "0", "0", "0"]]', "rational"),
+        ('[["1"], ["0", 0.5], ["0", "0", "0", "0"]]', "rational"),
+        ('[[1.0], [true, 0.0], [0.0, 0.0, 0.0, 0.0]]', "real"),
+    ],
+    ids=["few-levels", "long-level", "float-in-rational", "true-in-real"],
+)
+def test_algebra_inv_malformed_operand_is_user_error(tmp_path, capsys, levels, field):
+    f = tmp_path / "x.json"
+    f.write_text(f'{{"d": 2, "N": 2, "field": "{field}", "levels": {levels}}}', encoding="utf-8")
+    code, out, err = run(capsys, "algebra", "inv", str(f))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_algebra_project(tmp_path, capsys):

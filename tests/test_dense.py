@@ -282,3 +282,20 @@ def test_json_round_trip_complex():
 def test_json_rational_strings():
     t = mat([[F(4, 3)]])
     assert '"4/3"' in dump_tensor(t)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"shape": [2, 2], "field": "rational", "coeffs": ["1", "2", "3"]}',
+        '{"shape": [2], "field": "real", "coeffs": [1.0, 2.0, 3.0]}',
+        '{"shape": [2], "field": "rational", "coeffs": ["1", 0.5]}',
+        '{"shape": [2], "field": "rational", "coeffs": ["1", true]}',
+        '{"shape": [2], "field": "real", "coeffs": [1.0, true]}',
+        '{"shape": [0], "field": "real", "coeffs": []}',
+    ],
+    ids=["short", "long", "float-in-rational", "true-in-rational", "true-in-real", "empty-dim"],
+)
+def test_json_loader_rejects_malformed(text):
+    with pytest.raises(ValueError):
+        load_tensor(text)

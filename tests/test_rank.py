@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -152,6 +156,39 @@ def test_gauge_freedom():
         ]
         ok, residual = verify_decomposition(target, terms)
         assert ok and residual == 0.0
+
+
+WRONG_RREF = """
+import sys
+import tenalg.rank as rank
+
+real_rref = rank.rref
+
+
+def wrong_rref(M):
+    R, pivots = real_rref(M)
+    R[0] = [x + 1 for x in R[0]]
+    return R, pivots
+
+
+rank.rref = wrong_rref
+print("optimize", sys.flags.optimize)
+try:
+    rank.rank_decompose_rref([[1, 2], [3, 4]])
+except RuntimeError as exc:
+    print("raised", exc)
+"""
+
+
+def test_rref_reconstruction_check_survives_optimize():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", WRONG_RREF],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "optimize 1" in proc.stdout
+    assert "raised RREF decomposition failed to reconstruct its input" in proc.stdout
 
 
 # -- SVD -------------------------------------------------------------------------

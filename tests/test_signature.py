@@ -164,6 +164,12 @@ def test_oracle_rejects_bad_steps():
         oracle_signature(random_path(1), 2, steps=0)
 
 
+@pytest.mark.parametrize("route", [path_signature, oracle_signature])
+def test_signatures_reject_negative_depth(route):
+    with pytest.raises(ValueError):
+        route(random_path(1), -1)
+
+
 # -- CSV ---------------------------------------------------------------------------
 
 
