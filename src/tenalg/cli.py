@@ -16,9 +16,13 @@ from .dense import tensor_from_json
 from .scalars import COMPLEX, RATIONAL, REAL
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name} in JSON input")
+
+
 def _read_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_reject_constant)
 
 
 def _print_json(obj) -> None:

@@ -186,7 +186,10 @@ def _tokenize(text: str):
         if m is None:
             raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
         if m.lastgroup == "num":
-            tokens.append(("num", Fraction(m.group()), pos))
+            try:
+                tokens.append(("num", Fraction(m.group()), pos))
+            except ZeroDivisionError:
+                raise ExprSyntaxError(f"zero denominator in {m.group()!r}", pos) from None
         elif m.lastgroup == "ident":
             tokens.append(("ident", m.group(), pos))
         elif m.lastgroup == "op":
@@ -459,7 +462,7 @@ def factor_exact_order2(e: TensorExpr, route: str = "rref") -> TensorExpr:
     if route == "rref":
         dec = rank_decompose_rref(rows)
     else:
-        dec = rank_decompose_svd([[float(x) for x in row] for row in rows])
+        dec = rank_decompose_svd(rows)
     one = scalars.one(out_field)
     terms = []
     for l in range(dec.r):

@@ -4,9 +4,14 @@ Two routes:
 
 * exact route over the rationals: reduced row echelon form, with the factor
   matrices read off as D1^T = pivot columns of M and D2 = non-zero rows of
-  the echelon form, so that M = D1^T D2 holds exactly;
+  the echelon form, so that M = D1^T D2 holds exactly.  The elimination and
+  the check of M = D1^T D2 both run over Python ints (fraction-free
+  Gauss-Jordan on rows scaled by the lcm of their denominators); Fractions
+  appear only in the input and in the emitted echelon form;
 * floating route over the reals: one-sided Jacobi SVD built from scratch,
-  with the rank read off the singular values and D1^T = U', D2 = S'V'^T.
+  run on the input scaled by a power of two so that huge or tiny entries
+  neither overflow nor underflow, with the rank read off the singular values
+  and D1^T = U', D2 = S'V'^T.
 
 Rank decompositions are never unique; every emitted decomposition is checked
 by re-expansion.  For tensors of order three and up no exact rank routine is
@@ -17,6 +22,7 @@ decompositions lives here.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
@@ -80,7 +86,13 @@ def _as_fraction_matrix(M) -> List[List[Fraction]]:
             raise scalars.FieldMismatchError("the RREF route needs the rational field")
         n, m = M.shape
         return [[M.coeffs[i * m + j] for j in range(m)] for i in range(n)]
-    return [[Fraction(x) for x in row] for row in M]
+    return [[x if type(x) is Fraction else Fraction(x) for x in row] for row in M]
+
+
+def _integer_row(row: Sequence[Fraction]) -> Tuple[int, List[int]]:
+    """``(L, L * row)`` with L the lcm of the row's denominators, so L * row is integral."""
+    L = math.lcm(*(x.denominator for x in row))
+    return L, [x.numerator * (L // x.denominator) for x in row]
 
 
 def rref(M) -> Tuple[List[List[Fraction]], List[int]]:
@@ -90,33 +102,50 @@ def rref(M) -> Tuple[List[List[Fraction]], List[int]]:
     Pivoting takes the first non-zero entry scanning top to bottom; exact
     arithmetic needs no magnitude pivoting, and this choice keeps the
     emitted decompositions deterministic.
+
+    The elimination runs over Python ints (fraction-free Gauss-Jordan,
+    Bareiss 1968): each row is first scaled by the lcm of its denominators,
+    which keeps its row space, and with ``p`` the current pivot and ``prev``
+    the one before it every other row becomes ``(p * row - f * pivot_row) //
+    prev``.  Every division is exact, all pivot entries end up equal to the
+    last pivot ``delta`` and the integer matrix equals ``delta`` times the
+    echelon form, whose entries are built once as ``Fraction(a, delta)``.
+    The echelon form is unique, so this is the same matrix the elimination
+    over Fractions gives.
     """
-    R = _as_fraction_matrix(M)
-    if not R:
+    A = _as_fraction_matrix(M)
+    if not A:
         return [], []
-    n, m = len(R), len(R[0])
+    n, m = len(A), len(A[0])
+    B = [_integer_row(row)[1] for row in A]
     pivots: List[int] = []
     row = 0
+    prev = 1
     for col in range(m):
         sel = None
         for i in range(row, n):
-            if R[i][col] != 0:
+            if B[i][col]:
                 sel = i
                 break
         if sel is None:
             continue
-        R[row], R[sel] = R[sel], R[row]
-        pv = R[row][col]
-        R[row] = [x / pv for x in R[row]]
+        B[row], B[sel] = B[sel], B[row]
+        prow = B[row]
+        p = prow[col]
         for i in range(n):
-            if i != row and R[i][col] != 0:
-                f = R[i][col]
-                R[i] = [a - f * b for a, b in zip(R[i], R[row])]
+            if i == row:
+                continue
+            f = B[i][col]
+            if f:
+                B[i] = [(p * a - f * b) // prev for a, b in zip(B[i], prow)]
+            elif p != prev:
+                B[i] = [p * a // prev for a in B[i]]
+        prev = p
         pivots.append(col + 1)
         row += 1
         if row == n:
             break
-    return R, pivots
+    return [[Fraction(a, prev) for a in bi] for bi in B], pivots
 
 
 def rank_decompose_rref(M) -> RankDecomposition:
@@ -130,16 +159,23 @@ def rank_decompose_rref(M) -> RankDecomposition:
     A = _as_fraction_matrix(M)
     R, pivots = rref(A)
     r = len(pivots)
-    n = len(A)
-    m = len(A[0]) if A else 0
-    d1 = tuple(tuple(A[i][p - 1] for i in range(n)) for p in pivots)
+    d1 = tuple(tuple(row[p - 1] for row in A) for p in pivots)
     d2 = tuple(tuple(R[l]) for l in range(r))
-    recon = [
-        [sum((d1[l][i] * d2[l][j] for l in range(r)), Fraction(0)) for j in range(m)]
-        for i in range(n)
-    ]
-    if recon != A:
-        raise RuntimeError("RREF decomposition failed to reconstruct its input")
+    # The check runs over ints.  Row i of M is scaled by its own lcm L_i and
+    # row l of D2 by the lcm K_l of its denominators (never by its pivot
+    # entry, so a wrong row cannot rescale itself into passing), then brought
+    # to the common scale S: M == D1^T D2 row by row iff
+    # sum_l Mh[i][p_l] * D2h[l][j] == S * Mh[i][j].
+    scaled = [_integer_row(row) for row in d2]
+    S = math.lcm(*(K for K, _ in scaled))
+    D2h = [[x * (S // K) for x in row] for K, row in scaled]
+    m = len(A[0]) if A else 0
+    D2h_cols = list(zip(*D2h)) or [()] * m  # rank 0: every entry must be 0
+    for row in A:
+        Mh = _integer_row(row)[1]
+        coef = [Mh[p - 1] for p in pivots]
+        if [sum(map(operator.mul, coef, col)) for col in D2h_cols] != [S * x for x in Mh]:
+            raise RuntimeError("RREF decomposition failed to reconstruct its input")
     return RankDecomposition(r=r, d1=d1, d2=d2, field=RATIONAL)
 
 
@@ -177,29 +213,41 @@ def _jacobi_svd_tall(M: List[List[float]]):
     sense |w_p . w_q| <= _SWEEP_TOL * |w_p| |w_q| (zero columns skipped).
     Returns (U as n columns list, sigma list of length m, V as m columns
     list).
+
+    The sweeps run on M * 2^-e, with 2^e the power of two at or above the
+    largest |entry|, and sigma is scaled back by 2^e at the end.  Scaling by
+    a power of two is exact, so input in the normal range gives the same
+    bits as the unscaled sweeps, while the squared column norms can neither
+    overflow nor underflow to zero merely because the input is huge or tiny.
     """
     n, m = len(M), len(M[0])
-    w = [[M[i][j] for i in range(n)] for j in range(m)]  # columns
+    e = math.frexp(max((abs(x) for row in M for x in row), default=0.0))[1]
+    w = [[math.ldexp(x, -e) for x in col] for col in zip(*M)]  # columns
     v = [[1.0 if i == j else 0.0 for i in range(m)] for j in range(m)]
-    if m > 1 and any(any(x != 0.0 for x in col) for col in w):
+    # squared column norms, recomputed only for the two columns a rotation changes
+    norm2 = [sum(map(operator.mul, col, col)) for col in w]
+    if m > 1 and any(norm2):
         for _ in range(SVD_MAX_SWEEPS):
             off = 0.0
             for p in range(m - 1):
                 for q in range(p + 1, m):
-                    wp, wq = w[p], w[q]
-                    alpha = sum(x * x for x in wp)
-                    beta = sum(x * x for x in wq)
-                    gamma = sum(x * y for x, y in zip(wp, wq))
+                    alpha, beta = norm2[p], norm2[q]
                     if alpha == 0.0 or beta == 0.0:
                         continue
-                    rel = abs(gamma) / math.sqrt(alpha * beta)
+                    wp, wq = w[p], w[q]
+                    gamma = sum(map(operator.mul, wp, wq))
+                    # the product of the roots, unlike the root of the
+                    # product, does not underflow to zero
+                    rel = abs(gamma) / (math.sqrt(alpha) * math.sqrt(beta))
                     off = max(off, rel)
                     if rel <= 1e-14:
                         continue
                     theta = 0.5 * math.atan2(2.0 * gamma, alpha - beta)
                     c, s = math.cos(theta), math.sin(theta)
-                    w[p] = [c * x + s * y for x, y in zip(wp, wq)]
-                    w[q] = [-s * x + c * y for x, y in zip(wp, wq)]
+                    w[p] = new_p = [c * x + s * y for x, y in zip(wp, wq)]
+                    w[q] = new_q = [-s * x + c * y for x, y in zip(wp, wq)]
+                    norm2[p] = sum(map(operator.mul, new_p, new_p))
+                    norm2[q] = sum(map(operator.mul, new_q, new_q))
                     vp, vq = v[p], v[q]
                     v[p] = [c * x + s * y for x, y in zip(vp, vq)]
                     v[q] = [-s * x + c * y for x, y in zip(vp, vq)]
@@ -209,20 +257,25 @@ def _jacobi_svd_tall(M: List[List[float]]):
             raise ConvergenceError(
                 f"SVD did not converge within {SVD_MAX_SWEEPS} sweeps"
             )
-    sig = [math.sqrt(sum(x * x for x in col)) for col in w]
+    sig = [math.sqrt(a) for a in norm2]
     order = sorted(range(m), key=lambda j: -sig[j])
     w = [w[j] for j in order]
     v = [v[j] for j in order]
     sig = [sig[j] for j in order]
     u_cols = [[x / sg for x in col] for col, sg in zip(w, sig) if sg > 0.0]
     u_cols = _gram_schmidt_complete(u_cols, n)
+    try:
+        sig = [math.ldexp(sg, e) for sg in sig]
+    except OverflowError:
+        raise ValueError("a singular value of the matrix exceeds the float range") from None
     return u_cols, sig, v
 
 
 def svd(M) -> Tuple[List[List[float]], List[float], List[List[float]]]:
     """Singular value decomposition M = U diag(sigma) V^T.
 
-    ``M`` is a real matrix (list of rows or a real/rational order-2 tensor).
+    ``M`` is a real matrix (list of rows or a real/rational order-2 tensor)
+    with finite entries; a NaN or an infinity raises :class:`ValueError`.
     Returns (U, sigma, Vt): U is n x n, Vt is m x m, both orthogonal within
     EPS_SVD; sigma holds the min(n, m) singular values, non-negative and
     non-increasing.  Raises :class:`ConvergenceError` if the rotation sweep
@@ -239,15 +292,26 @@ def svd(M) -> Tuple[List[List[float]], List[float], List[List[float]]]:
     return _transpose(v_cols), sig[:n], [list(c) for c in u_cols]
 
 
-def _as_float_matrix(M) -> List[List[float]]:
+class _FloatRows(list):
+    """Rows of finite floats made by :func:`_as_float_matrix`, which passes one through as is."""
+
+
+def _as_float_matrix(M) -> _FloatRows:
+    if type(M) is _FloatRows:
+        return M
     if isinstance(M, DenseTensor):
         if M.order != 2:
             raise ShapeMismatchError(f"expected an order-2 tensor, got order {M.order}")
         if M.field not in (RATIONAL, REAL):
             raise scalars.FieldMismatchError("the SVD route needs real (or rational) input")
         n, m = M.shape
-        return [[float(M.coeffs[i * m + j]) for j in range(m)] for i in range(n)]
-    return [[float(x) for x in row] for row in M]
+        rows = _FloatRows([float(M.coeffs[i * m + j]) for j in range(m)] for i in range(n))
+    else:
+        rows = _FloatRows([float(x) for x in row] for row in M)
+    for row in rows:
+        if not all(map(math.isfinite, row)):
+            raise ValueError("the SVD route needs finite entries, got NaN or an infinity")
+    return rows
 
 
 def numeric_rank(sigma: Sequence[float], n: int, m: int) -> int:
@@ -270,9 +334,11 @@ def rank_decompose_svd(M) -> RankDecomposition:
     d2 = tuple(tuple(sig[l] * Vt[l][j] for j in range(m)) for l in range(r))
     scale = max((abs(x) for row in rows for x in row), default=0.0)
     tol = scalars.EPS_F * (1.0 + scale)
+    d2_cols = list(zip(*d2)) or [()] * m
     for i in range(n):
+        u_i = U[i][:r]
         for j in range(m):
-            recon = sum(d1[l][i] * d2[l][j] for l in range(r))
+            recon = sum(map(operator.mul, u_i, d2_cols[j]))
             if abs(recon - rows[i][j]) > tol:
                 raise ConvergenceError(
                     f"SVD decomposition residual {abs(recon - rows[i][j]):.3e} "

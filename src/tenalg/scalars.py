@@ -106,7 +106,10 @@ def from_json(field: str, obj):
     """Decode one scalar from the JSON tensor formats."""
     if field == RATIONAL:
         if isinstance(obj, (str, int)) and not isinstance(obj, bool):
-            return Fraction(obj)
+            try:
+                return Fraction(obj)
+            except ZeroDivisionError:
+                raise ValueError(f"rational scalar {obj!r} has a zero denominator") from None
         raise ValueError(f"rational scalars must be 'p/q' strings, got {obj!r}")
     if field == REAL:
         if isinstance(obj, bool) or not isinstance(obj, (int, float)):

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,7 +40,7 @@ __all__ = [
 
 
 class PiecewiseLinearPath:
-    """Uniformly parameterized piecewise-linear path through K >= 1 points."""
+    """Uniformly parameterized piecewise-linear path through K >= 1 finite points."""
 
     __slots__ = ("points", "d")
 
@@ -51,6 +53,8 @@ class PiecewiseLinearPath:
             raise ValueError("sample points must have dimension >= 1")
         if any(len(p) != d for p in pts):
             raise ValueError("all sample points must share one dimension")
+        if not all(map(math.isfinite, itertools.chain.from_iterable(pts))):
+            raise ValueError("sample points must be finite, got NaN or an infinity")
         object.__setattr__(self, "points", tuple(pts))
         object.__setattr__(self, "d", d)
 

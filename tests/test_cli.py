@@ -183,6 +183,35 @@ def test_algebra_inv_malformed_operand_is_user_error(tmp_path, capsys, levels, f
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def _matrix_file(field, coeffs):
+    return f'{{"shape": [2, 2], "field": "{field}", "coeffs": [{coeffs}]}}'
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["factor", "1/0 a1@b1 + a2@b2"], None),
+        (["rank", "FILE"], _matrix_file("rational", '"1/0", "1", "1", "1"')),
+        (["rank", "FILE", "--method", "svd"], _matrix_file("real", "NaN, 1, 1, 1")),
+        (["decompose", "FILE", "--method", "svd"], _matrix_file("real", "1, Infinity, 1, 1")),
+        (["rank", "FILE", "--method", "svd"], _matrix_file("real", "1, 1, -Infinity, 1")),
+        (["rank", "FILE", "--method", "svd"], _matrix_file("real", "1e999, 1, 1, 1")),
+        (["algebra", "inv", "FILE"], '{"d": 1, "N": 1, "field": "real", "levels": [[1.0], [NaN]]}'),
+        (["sig", "FILE", "--depth", "2"], "x,y\n0,0\nnan,1\n"),
+        (["sig", "FILE", "--depth", "2"], "0,0\n1,inf\n"),
+    ],
+    ids=["expr-1/0", "json-1/0", "json-nan", "json-inf", "json-minus-inf", "json-overflow",
+         "algebra-nan", "csv-nan", "csv-inf"],
+)
+def test_zero_denominator_and_non_finite_input_are_user_errors(tmp_path, capsys, argv, text):
+    f = tmp_path / "input"
+    if text is not None:
+        f.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, *[str(f) if a == "FILE" else a for a in argv])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_algebra_project(tmp_path, capsys):
     f = tmp_path / "x.json"
     f.write_text(X_JSON, encoding="utf-8")

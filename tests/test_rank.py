@@ -7,7 +7,10 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import tenalg.rank as rank_module
 from tenalg import (
     DenseTensor,
     ShapeMismatchError,
@@ -64,6 +67,94 @@ def test_rref_accepts_rational_tensor():
     t = DenseTensor.matrix(A)
     R, pivots = rref(t)
     assert pivots == [1]
+
+
+def _fraction_rref(M):
+    """Gauss-Jordan elimination over Fractions: the reference for ``rref``."""
+    R = [[F(x) for x in row] for row in M]
+    if not R:
+        return [], []
+    n, m = len(R), len(R[0])
+    pivots = []
+    row = 0
+    for col in range(m):
+        sel = None
+        for i in range(row, n):
+            if R[i][col] != 0:
+                sel = i
+                break
+        if sel is None:
+            continue
+        R[row], R[sel] = R[sel], R[row]
+        pv = R[row][col]
+        R[row] = [x / pv for x in R[row]]
+        for i in range(n):
+            if i != row and R[i][col] != 0:
+                f = R[i][col]
+                R[i] = [a - f * b for a, b in zip(R[i], R[row])]
+        pivots.append(col + 1)
+        row += 1
+        if row == n:
+            break
+    return R, pivots
+
+
+# about half the entries zero, so that rows often have a zero in the pivot column
+_entries = st.one_of(st.just(F(0)), st.fractions(min_value=-20, max_value=20, max_denominator=12))
+
+
+@st.composite
+def rational_matrices(draw):
+    """Mixed denominators, planted rank deficiency, and zeroed rows and columns."""
+    n, m = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+
+    def block(rows, cols):
+        return draw(st.lists(st.lists(_entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+
+    if draw(st.booleans()):
+        r = draw(st.integers(0, min(n, m)))
+        left, right = block(n, r), block(r, m)
+        M = [[sum((left[i][l] * right[l][j] for l in range(r)), F(0)) for j in range(m)] for i in range(n)]
+    else:
+        M = block(n, m)
+    zero_rows = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    zero_cols = draw(st.sets(st.integers(0, m - 1), max_size=m))
+    return [[F(0) if i in zero_rows or j in zero_cols else M[i][j] for j in range(m)] for i in range(n)]
+
+
+@settings(deadline=None, max_examples=300)
+@given(rational_matrices())
+@example([[F(0)] * 4] * 3)
+@example([[F(1, 2), F(-3, 4), F(0), F(5, 6)]])
+@example([[F(2, 3)], [F(0)], [F(-1, 5)]])
+def test_rref_matches_fraction_elimination(M):
+    R, pivots = rref(M)
+    assert (R, pivots) == _fraction_rref(M)
+    assert all(type(x) is F for row in R for x in row)
+    dec = rank_decompose_rref(M)
+    assert dec.r == len(pivots) and [list(row) for row in dec.d2] == R[: dec.r]
+
+
+def _double_row(R):
+    R[0] = [2 * x for x in R[0]]  # pivot entry 2: same row space, wrong scale
+
+
+def _off_by_a_seventh(R):
+    R[1][2] += F(1, 7)
+
+
+@pytest.mark.parametrize("corrupt", [_double_row, _off_by_a_seventh])
+def test_rref_reconstruction_check_rejects_wrong_echelon_form(monkeypatch, corrupt):
+    real_rref = rank_module.rref
+
+    def wrong_rref(matrix):
+        R, pivots = real_rref(matrix)
+        corrupt(R)
+        return R, pivots
+
+    monkeypatch.setattr(rank_module, "rref", wrong_rref)
+    with pytest.raises(RuntimeError, match="failed to reconstruct"):
+        rank_decompose_rref(M)
 
 
 # -- exact decomposition --------------------------------------------------------
@@ -272,6 +363,61 @@ def test_svd_decompose_zero():
 
 def test_svd_decompose_B():
     assert rank_decompose_svd(B).r == 2
+
+
+# planted rank-4 integer matrix on which the sweeps used to divide by an
+# alpha * beta that had underflowed to zero
+UNDERFLOW_8X8 = [
+    [-1, 1, 1, -6, -1, 1, 2, 3],
+    [-17, 21, -6, -3, -2, 18, 5, -13],
+    [11, -17, 4, -3, -2, -8, -7, 15],
+    [-1, 0, -5, -13, 6, -3, 5, 3],
+    [0, 0, 0, 0, 0, 0, 0, 0],
+    [-4, 3, 2, 13, -9, 12, -9, -4],
+    [7, -5, 7, -6, 1, -11, 6, 7],
+    [15, -13, 6, -7, 9, -25, 9, 9],
+]
+
+
+def test_svd_rank_deficient_8x8_does_not_underflow():
+    dec = rank_decompose_svd(UNDERFLOW_8X8)
+    assert dec.r == 4
+    target = DenseTensor.matrix([[float(x) for x in row] for row in UNDERFLOW_8X8], REAL)
+    ok, _ = verify_decomposition(target, decomposition_terms(dec))
+    assert ok
+
+
+@st.composite
+def planted_int_matrices(draw):
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    r = draw(st.integers(0, min(n, m)))
+    ints = st.integers(-3, 3)
+    left = draw(st.lists(st.lists(ints, min_size=r, max_size=r), min_size=n, max_size=n))
+    right = draw(st.lists(st.lists(ints, min_size=m, max_size=m), min_size=r, max_size=r))
+    return [[sum(left[i][l] * right[l][j] for l in range(r)) for j in range(m)] for i in range(n)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(planted_int_matrices(), st.sampled_from([150, -150, 300, -300]))
+@example([[1, 1], [1, 2]], 160)
+@example([[1, 1], [1, 2]], -160)
+def test_svd_rank_invariant_under_extreme_scaling(mat, k):
+    scaled = [[x * 10.0**k for x in row] for row in mat]
+    assert rank_decompose_svd(scaled).r == rank_decompose_svd(mat).r == rank_decompose_rref(mat).r
+
+
+def test_svd_power_of_two_scaling_is_exact():
+    rng = random.Random(3)
+    mat = [[rng.uniform(-1, 1) for _ in range(4)] for _ in range(5)]
+    U, sig, Vt = svd(mat)
+    U2, sig2, Vt2 = svd([[x * 2.0**-600 for x in row] for row in mat])
+    assert U2 == U and Vt2 == Vt and sig2 == [s * 2.0**-600 for s in sig]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_svd_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="finite"):
+        rank_decompose_svd([[1.0, bad], [0.0, 1.0]])
 
 
 def test_rank_agreement_small():
