@@ -14,6 +14,7 @@ tensors.
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import Sequence
 
@@ -67,6 +68,27 @@ def truncated_dim(d: int, N: int) -> int:
     if d == 1:
         return N + 1
     return (d ** (N + 1) - 1) // (d - 1)
+
+
+# Most list slots one element may take where unit/basis_word and
+# oracle_signature allocate it: its truncated_dim(d, N) coefficients plus the
+# N (N + 1) / 2 entries of the level shapes (d,) * n, which dominate when
+# d == 1.  A larger count is refused before any list is built.  A slot costs
+# 8 bytes, and a distinct float 24 more, so an element at the budget takes
+# about 32 MB and a product needs several.  Every test and benchmark shape
+# is at most truncated_dim(4, 5) = 1365 coefficients.
+MAX_COEFFS = 1 << 20
+
+
+def _check_budget(d: int, N: int) -> None:
+    """Raise :class:`ValueError` if an element of the algebra exceeds MAX_COEFFS slots."""
+    # for d >= 2 level 64 alone is over budget; the clamp keeps an absurd N
+    # from building a huge power in truncated_dim
+    if truncated_dim(d, N if d == 1 else min(N, 64)) + N * (N + 1) // 2 > MAX_COEFFS:
+        raise ValueError(
+            f"the level-{N} truncated algebra over R^{d} exceeds the budget of "
+            f"{MAX_COEFFS} coefficients"
+        )
 
 
 class TruncatedTensor:
@@ -185,7 +207,7 @@ def unit(d: int, N: int, field: str = RATIONAL) -> TruncatedTensor:
 
 def basis_word(d: int, N: int, word: Sequence[int], field: str = RATIONAL) -> TruncatedTensor:
     """The basis element e_w for a word ``w`` of length <= N."""
-    _check_dims(d, N)
+    _check_budget(d, N)
     zero = scalars.zero(scalars.check_field(field))
     word = tuple(word)
     if len(word) > N:
@@ -286,6 +308,7 @@ def tt_from_json(obj: dict) -> TruncatedTensor:
     flat_levels = [
         [scalars.from_json(field, c) for c in lvl] for lvl in obj["levels"]
     ]
+    scalars.check_finite(field, itertools.chain.from_iterable(flat_levels))
     return TruncatedTensor.from_flat_levels(d, N, flat_levels, field)
 
 

@@ -25,8 +25,16 @@ def _read_json(path: str) -> dict:
         return json.load(fh, parse_constant=_reject_constant)
 
 
+class NonFiniteResultError(ArithmeticError):
+    """A computed coefficient overflowed to an infinity or NaN."""
+
+
 def _print_json(obj) -> None:
-    print(json.dumps(obj))
+    try:
+        text = json.dumps(obj, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteResultError(f"the result holds a NaN or an infinity ({exc})") from None
+    print(text)
 
 
 # -- pretty rendering of sum-of-outer-products ------------------------------
@@ -300,7 +308,7 @@ def main(argv=None) -> int:
         args.field = REAL if args.method == "als" else RATIONAL
     try:
         return args.func(args)
-    except rank.ConvergenceError as exc:
+    except (rank.ConvergenceError, NonFiniteResultError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, KeyError, IndexError, TypeError) as exc:

@@ -256,6 +256,7 @@ def tensor_from_json(obj: dict) -> DenseTensor:
         raise ValueError("tensor JSON must have 'shape', 'field' and 'coeffs' keys")
     field = scalars.check_field(obj.get("field", RATIONAL))
     coeffs = [scalars.from_json(field, c) for c in obj["coeffs"]]
+    scalars.check_finite(field, coeffs)
     return DenseTensor(tuple(obj["shape"]), coeffs, field)
 
 

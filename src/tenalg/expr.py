@@ -35,7 +35,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import scalars
 from .dense import DenseTensor
-from .rank import rank_decompose_rref, rank_decompose_svd
+from .rank import _residual, rank_decompose_rref, rank_decompose_svd
 from .scalars import COMPLEX, RATIONAL, REAL
 
 __all__ = [
@@ -526,10 +526,13 @@ def factor_greedy(e: TensorExpr, direction: str = "left") -> TensorExpr:
 # -- alternating least squares for order >= 3 ---------------------------------
 
 
-def _solve_linear(A, b):
-    """Gaussian elimination with partial pivoting; works for float/complex."""
+def _solve_linear(A, B):
+    """Solve ``A x = b`` for each ``b`` in ``B`` by Gaussian elimination with
+    partial pivoting on ``[A | B^T]``, which picks the pivots from ``A``
+    alone; works for float/complex."""
     n = len(A)
-    M = [list(A[i]) + [b[i]] for i in range(n)]
+    width = n + len(B)
+    M = [list(A[i]) + [b[i] for b in B] for i in range(n)]
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(M[r][col]))
         if abs(M[piv][col]) < 1e-250:
@@ -539,27 +542,16 @@ def _solve_linear(A, b):
         for r in range(col + 1, n):
             f = M[r][col] * inv
             if f != 0:
-                for c in range(col, n + 1):
+                for c in range(col, width):
                     M[r][c] -= f * M[col][c]
-    x = [0] * n
-    for r in range(n - 1, -1, -1):
-        s = M[r][n] - sum(M[r][c] * x[c] for c in range(r + 1, n))
-        x[r] = s / M[r][r]
-    return x
-
-
-def _als_reconstruct_residual(dims, target, factors) -> float:
-    res = 0.0
-    r = len(factors[0][0])
-    for off, multi in enumerate(iter_product(*[range(d) for d in dims])):
-        val = 0
-        for l in range(r):
-            p = 1
-            for k, i in enumerate(multi):
-                p *= factors[k][i][l]
-            val += p
-        res = max(res, abs(val - target[off]))
-    return res
+    X = []
+    for j in range(n, width):
+        x = [0] * n
+        for r in range(n - 1, -1, -1):
+            s = M[r][j] - sum(M[r][c] * x[c] for c in range(r + 1, n))
+            x[r] = s / M[r][r]
+        X.append(x)
+    return X
 
 
 def _als_fit(dims, target, r, field, rng, sweeps, tol) -> Tuple[float, Optional[list]]:
@@ -598,19 +590,17 @@ def _als_fit(dims, target, r, field, rng, sweeps, tol) -> Tuple[float, Optional[
                 ]
                 for l1 in range(r)
             ]
+            rhs = [
+                [sum(row[l].conjugate() * target[base + i * strides[n]] for base, row in rows)
+                 for l in range(r)]
+                for i in range(dims[n])
+            ]
             try:
-                for i in range(dims[n]):
-                    rhs = [
-                        sum(
-                            row[l].conjugate() * target[base + i * strides[n]]
-                            for base, row in rows
-                        )
-                        for l in range(r)
-                    ]
-                    factors[n][i] = _solve_linear(gram, rhs)
+                factors[n] = _solve_linear(gram, rhs)
             except ArithmeticError:
                 return math.inf, None
-        res = _als_reconstruct_residual(dims, target, factors)
+        terms = [[[row[l] for row in f] for f in factors] for l in range(r)]
+        _, res = _residual(field, target, terms)
         if res <= tol:
             return res, factors
         if res < best - 1e-14:

@@ -14,13 +14,14 @@ Two routes:
   and D1^T = U', D2 = S'V'^T.
 
 Rank decompositions are never unique; every emitted decomposition is checked
-by re-expansion.  For tensors of order three and up no exact rank routine is
-offered (that problem is NP-hard); only verification of supplied
-decompositions lives here.
+by re-expansion in :func:`_residual`, which also serves verification and ALS.
+For tensors of order three and up no exact rank routine is offered (that
+problem is NP-hard); only verification of supplied decompositions lives here.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from . import scalars
-from .dense import DenseTensor, ShapeMismatchError, multi_tensor_product
+from .dense import DenseTensor, ShapeMismatchError
 from .scalars import RATIONAL, REAL
 
 __all__ = [
@@ -66,16 +67,6 @@ class RankDecomposition:
     d1: tuple  # r x n
     d2: tuple  # r x m
     field: str
-
-    def terms(self) -> List[Tuple[DenseTensor, DenseTensor]]:
-        """The sum-of-outer-products view: one (u_l, v_l) pair per term."""
-        return [
-            (
-                DenseTensor.vector(list(self.d1[l]), self.field),
-                DenseTensor.vector(list(self.d2[l]), self.field),
-            )
-            for l in range(self.r)
-        ]
 
 
 def _as_fraction_matrix(M) -> List[List[Fraction]]:
@@ -161,21 +152,9 @@ def rank_decompose_rref(M) -> RankDecomposition:
     r = len(pivots)
     d1 = tuple(tuple(row[p - 1] for row in A) for p in pivots)
     d2 = tuple(tuple(R[l]) for l in range(r))
-    # The check runs over ints.  Row i of M is scaled by its own lcm L_i and
-    # row l of D2 by the lcm K_l of its denominators (never by its pivot
-    # entry, so a wrong row cannot rescale itself into passing), then brought
-    # to the common scale S: M == D1^T D2 row by row iff
-    # sum_l Mh[i][p_l] * D2h[l][j] == S * Mh[i][j].
-    scaled = [_integer_row(row) for row in d2]
-    S = math.lcm(*(K for K, _ in scaled))
-    D2h = [[x * (S // K) for x in row] for K, row in scaled]
-    m = len(A[0]) if A else 0
-    D2h_cols = list(zip(*D2h)) or [()] * m  # rank 0: every entry must be 0
-    for row in A:
-        Mh = _integer_row(row)[1]
-        coef = [Mh[p - 1] for p in pivots]
-        if [sum(map(operator.mul, coef, col)) for col in D2h_cols] != [S * x for x in Mh]:
-            raise RuntimeError("RREF decomposition failed to reconstruct its input")
+    ok, _ = _residual(RATIONAL, [x for row in A for x in row], list(zip(d1, d2)))
+    if not ok:
+        raise RuntimeError("RREF decomposition failed to reconstruct its input")
     return RankDecomposition(r=r, d1=d1, d2=d2, field=RATIONAL)
 
 
@@ -308,9 +287,7 @@ def _as_float_matrix(M) -> _FloatRows:
         rows = _FloatRows([float(M.coeffs[i * m + j]) for j in range(m)] for i in range(n))
     else:
         rows = _FloatRows([float(x) for x in row] for row in M)
-    for row in rows:
-        if not all(map(math.isfinite, row)):
-            raise ValueError("the SVD route needs finite entries, got NaN or an infinity")
+    scalars.check_finite(REAL, itertools.chain.from_iterable(rows))
     return rows
 
 
@@ -332,22 +309,50 @@ def rank_decompose_svd(M) -> RankDecomposition:
     r = numeric_rank(sig, n, m)
     d1 = tuple(tuple(U[i][l] for i in range(n)) for l in range(r))
     d2 = tuple(tuple(sig[l] * Vt[l][j] for j in range(m)) for l in range(r))
-    scale = max((abs(x) for row in rows for x in row), default=0.0)
-    tol = scalars.EPS_F * (1.0 + scale)
-    d2_cols = list(zip(*d2)) or [()] * m
-    for i in range(n):
-        u_i = U[i][:r]
-        for j in range(m):
-            recon = sum(map(operator.mul, u_i, d2_cols[j]))
-            if abs(recon - rows[i][j]) > tol:
-                raise ConvergenceError(
-                    f"SVD decomposition residual {abs(recon - rows[i][j]):.3e} "
-                    f"exceeds tolerance at entry ({i + 1}, {j + 1})"
-                )
+    ok, res = _residual(REAL, [x for row in rows for x in row], list(zip(d1, d2)))
+    if not ok:
+        raise ConvergenceError(f"SVD decomposition residual {res:.3e} exceeds tolerance")
     return RankDecomposition(r=r, d1=d1, d2=d2, field=REAL)
 
 
-# -- verification of supplied decompositions ---------------------------------
+# -- re-expansion checks --------------------------------------------------------
+
+
+def _residual(field: str, target: list, terms) -> Tuple[bool, float]:
+    """Re-expand a sum of rank-1 terms and compare it with ``target``.
+
+    ``target`` is a flat row-major list; each term is a list of per-slot
+    coefficient lists, whose outer product is folded left as in
+    :func:`tenalg.dense.tensor_product`.  Returns ``(ok, residual)``, the
+    residual being the largest absolute mismatch of one coefficient.  Over
+    the rationals the check is exact and runs over ints: the target and each
+    factor are scaled by the lcm of their own denominators (never by an
+    entry, so a wrong factor cannot rescale itself into passing) and brought
+    to one common scale ``S``.  Otherwise ``ok`` means ``residual <= EPS_F +
+    EPS_F * max|target|``, and a NaN mismatch gives a NaN residual, never ok.
+    """
+    goal, lead = target, [1] * len(terms)
+    if field == RATIONAL:
+        L, goal = _integer_row(target)
+        terms = [[_integer_row(v) for v in term] for term in terms]
+        lead = [math.prod(K for K, _ in term) for term in terms]
+        S = math.lcm(L, *lead)
+        goal = [S // L * x for x in goal]
+        lead = [S // p for p in lead]
+        terms = [[v for _, v in term] for term in terms]
+    total = [0] * len(goal)
+    for c, vectors in zip(lead, terms):
+        out = [c]
+        for v in vectors:
+            out = [x * y for x in out for y in v]
+        total = list(map(operator.add, total, out))
+    mismatch = list(map(abs, map(operator.sub, total, goal)))
+    res = max(mismatch, default=0)
+    if field == RATIONAL:
+        return res == 0, res / S
+    if any(map(math.isnan, mismatch)):
+        return False, math.nan
+    return res <= scalars.EPS_F + scalars.EPS_F * max(map(abs, target), default=0.0), float(res)
 
 
 def verify_decomposition(target: DenseTensor, terms) -> Tuple[bool, float]:
@@ -356,35 +361,30 @@ def verify_decomposition(target: DenseTensor, terms) -> Tuple[bool, float]:
     ``terms`` is a list of factor lists: term l holds one order-1 tensor per
     slot of the target.  Returns ``(ok, residual)`` where the residual is the
     largest component mismatch in absolute value (0 means exact); ``ok`` uses
-    exact equality in the rational field and the EPS_F tolerance otherwise.
+    exact equality in the rational field and the EPS_F tolerance otherwise,
+    and is False whenever the re-expansion holds a NaN.
     """
-    total = DenseTensor.zeros(target.shape, target.field)
+    vectors = []
     for factors in terms:
         factors = list(factors)
         if len(factors) != target.order:
             raise ShapeMismatchError(
                 f"term has {len(factors)} factors, target has order {target.order}"
             )
-        prod = multi_tensor_product(factors)
-        if prod.shape != target.shape:
+        for f in factors:
+            scalars.same_field(target.field, f.field)
+        shape = sum((f.shape for f in factors), ())
+        if shape != target.shape:
             raise ShapeMismatchError(
-                f"term of shape {prod.shape} cannot rebuild shape {target.shape}"
+                f"term of shape {shape} cannot rebuild shape {target.shape}"
             )
-        total = total + prod
-    residual = 0.0
-    exact = True
-    for a, b in zip(total.coeffs, target.coeffs):
-        diff = a - b
-        if diff != scalars.zero(target.field):
-            exact = False
-        residual = max(residual, abs(diff))
-    if target.field == RATIONAL:
-        return exact, float(residual)
-    scale_ = max((abs(c) for c in target.coeffs), default=0.0)
-    ok = residual <= scalars.EPS_F + scalars.EPS_F * scale_
-    return ok, float(residual)
+        vectors.append([f.coeffs for f in factors])
+    return _residual(target.field, target.coeffs, vectors)
 
 
 def decomposition_terms(dec: RankDecomposition):
     """Rank-1 term list of a decomposition, shaped for verify_decomposition."""
-    return [[u, v] for u, v in dec.terms()]
+    return [
+        [DenseTensor.vector(u, dec.field), DenseTensor.vector(v, dec.field)]
+        for u, v in zip(dec.d1, dec.d2)
+    ]

@@ -12,6 +12,8 @@ absolute/relative tolerance ``EPS_F``.
 
 from __future__ import annotations
 
+import cmath
+import math
 from fractions import Fraction
 
 RATIONAL = "rational"
@@ -91,6 +93,19 @@ def close(field: str, a, b) -> bool:
     if field == RATIONAL:
         return a == b
     return abs(a - b) <= EPS_F + EPS_F * max(abs(a), abs(b))
+
+
+def check_finite(field: str, values) -> None:
+    """Raise :class:`ValueError` if a real or complex value is NaN or infinite.
+
+    A JSON reader turns a literal that overflows, such as ``1e999``, into an
+    infinity, so every real or complex operand read from JSON takes this one
+    pass before it reaches a kernel.  Rationals are always finite.
+    """
+    if field == RATIONAL:
+        return
+    if not all(map(math.isfinite if field == REAL else cmath.isfinite, values)):
+        raise ValueError(f"{field} coefficients must be finite, got NaN or an infinity")
 
 
 def to_json(field: str, value):

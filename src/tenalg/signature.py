@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import TruncatedTensor, concat_product, unit
+from .algebra import TruncatedTensor, _check_budget, concat_product, unit
 from .dense import DenseTensor, tensor_product
 from .scalars import REAL
 
@@ -164,6 +164,7 @@ def oracle_signature(
     if not 0.0 <= s <= t <= 1.0:
         raise ValueError(f"need 0 <= s <= t <= 1, got s={s}, t={t}")
     d = path.d
+    _check_budget(d, N)
     levels = [[0.0] * (d ** n) for n in range(N + 1)]
     levels[0][0] = 1.0
     h = (t - s) / steps

@@ -1,6 +1,7 @@
 """Shared fixtures: the order-3 tensor whose rank differs over R and C."""
 
 import math
+import resource
 
 import pytest
 
@@ -42,3 +43,21 @@ def z_complex_terms():
 @pytest.fixture
 def z_fixture():
     return z_tensor(), z_real_terms(), z_complex_terms()
+
+
+@pytest.fixture
+def address_space_cap():
+    """Cap this process's address space 1 GiB above its current size for one
+    test, so that a size guard that stops working ends in MemoryError
+    instead of exhausting the machine's memory."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as fh:
+        size = int(fh.read().split()[0]) * resource.getpagesize()
+    cap = size + (1 << 30)
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))

@@ -20,6 +20,7 @@ from tenalg import (
 )
 from tenalg.algebra import dump_tt, load_tt, tt_from_json
 from tenalg.scalars import COMPLEX, REAL
+from tenalg.signature import PiecewiseLinearPath, oracle_signature
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
@@ -50,6 +51,19 @@ def element_pairs(draw, count=2, nonzero_scalar=False):
 
 
 # -- unit ----------------------------------------------------------------------
+
+
+# (1, 2000) holds only 2001 coefficients, but its level shapes (1,) * n hold
+# two million entries
+@pytest.mark.parametrize("d, N", [(3, 20), (2, 10**9), (1, 10**9), (1, 2000)])
+def test_budget_refuses_oversized_algebras_before_allocating(address_space_cap, d, N):
+    with pytest.raises(ValueError, match="budget"):
+        unit(d, N)
+    with pytest.raises(ValueError, match="budget"):
+        basis_word(d, N, [1])
+    path = PiecewiseLinearPath([[0.0] * d, [1.0] * d])
+    with pytest.raises(ValueError, match="budget"):
+        oracle_signature(path, N, steps=1)
 
 
 def test_unit_shape():

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -199,9 +200,15 @@ def _matrix_file(field, coeffs):
         (["algebra", "inv", "FILE"], '{"d": 1, "N": 1, "field": "real", "levels": [[1.0], [NaN]]}'),
         (["sig", "FILE", "--depth", "2"], "x,y\n0,0\nnan,1\n"),
         (["sig", "FILE", "--depth", "2"], "0,0\n1,inf\n"),
+        (["algebra", "inv", "FILE"], '{"d": 1, "N": 1, "field": "real", "levels": [[1e999], [1]]}'),
+        (["algebra", "project", "FILE", "--level", "1"],
+         '{"d": 1, "N": 1, "field": "real", "levels": [[1e999], [1]]}'),
+        (["algebra", "inv", "FILE"],
+         '{"d": 1, "N": 1, "field": "complex", "levels": [[[1, 0]], [[0, -1e999]]]}'),
     ],
     ids=["expr-1/0", "json-1/0", "json-nan", "json-inf", "json-minus-inf", "json-overflow",
-         "algebra-nan", "csv-nan", "csv-inf"],
+         "algebra-nan", "csv-nan", "csv-inf", "algebra-inv-overflow", "algebra-project-overflow",
+         "algebra-complex-overflow"],
 )
 def test_zero_denominator_and_non_finite_input_are_user_errors(tmp_path, capsys, argv, text):
     f = tmp_path / "input"
@@ -210,6 +217,32 @@ def test_zero_denominator_and_non_finite_input_are_user_errors(tmp_path, capsys,
     code, out, err = run(capsys, *[str(f) if a == "FILE" else a for a in argv])
     assert code == 1 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_non_finite_result_is_numerical_failure(tmp_path, capsys):
+    f = tmp_path / "big.csv"
+    f.write_text("0,0\n1e200,1\n", encoding="utf-8")
+    code, out, err = run(capsys, "sig", str(f), "--depth", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("numerical failure:") and "Traceback" not in err
+
+
+def test_coefficient_budget_refuses_before_allocating(tmp_path, capsys, address_space_cap):
+    f = tmp_path / "p.csv"
+    f.write_text("0,0,0\n1,1,1\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        for extra in ([], ["--oracle", "10"]):
+            code, out, err = run(capsys, "sig", str(f), "--depth", "20", *extra)
+            assert code == 1 and out == ""
+            assert err.startswith("error:") and "budget" in err
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # level 20 alone would need 3^20 list slots (28 GB of pointers)
+    assert peak < 1 << 20
+    code, out, _ = run(capsys, "dim", "3", "20")
+    assert code == 0 and out == "5230176601\n"
 
 
 def test_algebra_project(tmp_path, capsys):

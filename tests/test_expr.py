@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
+import tenalg.expr as expr_module
 from tenalg import (
     COMPLEX,
     RATIONAL,
@@ -313,6 +315,27 @@ def test_heuristic_field_monotonicity_on_z():
     f3, status3 = factor_heuristic_higher_order(e, 3, REAL)
     assert status3 == "verified-upper-bound"
     assert len(f3.terms) == 3
+
+
+def test_heuristic_never_verifies_nan_factors(monkeypatch):
+    monkeypatch.setattr(expr_module, "_solve_linear", lambda A, B: [[math.nan] * len(A) for _ in B])
+    e = parse(Z_EXPR)
+    f, status = factor_heuristic_higher_order(e, 3, REAL, restarts=2, sweeps=10)
+    assert status == "failed" and f == e
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_solve_linear_batch_matches_one_solve_per_rhs(field):
+    rng = random.Random(11)
+
+    def draw():
+        x = rng.uniform(-1, 1)
+        return x if field == REAL else complex(x, rng.uniform(-1, 1))
+
+    for n in range(1, 5):
+        A = [[draw() for _ in range(n)] for _ in range(n)]
+        B = [[draw() for _ in range(n)] for _ in range(4)]
+        assert expr_module._solve_linear(A, B) == [expr_module._solve_linear(A, [b])[0] for b in B]
 
 
 def test_heuristic_rejects_low_order():

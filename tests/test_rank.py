@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 import tenalg.rank as rank_module
 from tenalg import (
     DenseTensor,
+    FieldMismatchError,
     ShapeMismatchError,
     rank_decompose_rref,
     rank_decompose_svd,
@@ -20,8 +22,8 @@ from tenalg import (
     svd,
     verify_decomposition,
 )
-from tenalg.rank import decomposition_terms
-from tenalg.scalars import REAL
+from tenalg.rank import ConvergenceError, decomposition_terms
+from tenalg.scalars import COMPLEX, EPS_F, RATIONAL, REAL, one, zero
 
 A = [[3, 4], [6, 8]]
 B = [[1, 0], [1, 1]]
@@ -471,3 +473,101 @@ def test_verify_shape_mismatch(z_fixture):
             z,
             [[DenseTensor.vector([1.0, 0.0, 0.0], REAL)] * 3],
         )
+
+
+def test_verify_mixed_fields_raise():
+    real = [DenseTensor.vector([1.0, 0.0], REAL)] * 2
+    with pytest.raises(FieldMismatchError):
+        verify_decomposition(DenseTensor.matrix([[1, 0], [0, 0]]), [real])
+    with pytest.raises(FieldMismatchError):
+        verify_decomposition(DenseTensor.matrix([[1, 0], [0, 0]], COMPLEX), [real])
+    with pytest.raises(FieldMismatchError):
+        verify_decomposition(
+            DenseTensor.matrix([[1.0, 0.0], [0.0, 0.0]], REAL),
+            [[DenseTensor.vector([1, 0]), DenseTensor.vector([1.0, 0.0], REAL)]],
+        )
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", [0, 1])
+def test_verify_non_finite_factor_never_verifies(field, bad, slot):
+    eye = DenseTensor.matrix([[1, 0], [0, 1]], field)
+    e1, e2 = DenseTensor.vector([1, 0], field), DenseTensor.vector([0, 1], field)
+    corrupted = [e2, e2]
+    corrupted[slot] = DenseTensor.vector([0, bad], field)
+    ok, residual = verify_decomposition(eye, [[e1, e1], corrupted])
+    assert ok is False and not math.isfinite(residual)
+    all_bad = DenseTensor.vector([bad, bad], field)
+    ok, residual = verify_decomposition(eye, [[all_bad, all_bad]])
+    assert ok is False and not math.isfinite(residual)
+
+
+def test_svd_decomposition_check_rejects_nan(monkeypatch):
+    real_svd = rank_module.svd
+
+    def nan_svd(matrix):
+        U, sig, Vt = real_svd(matrix)
+        U[1][0] = math.nan
+        return U, sig, Vt
+
+    monkeypatch.setattr(rank_module, "svd", nan_svd)
+    with pytest.raises(ConvergenceError, match="residual nan"):
+        rank_decompose_svd([[1.0, 2.0], [3.0, 4.0]])
+
+
+def _reference_expansion(field, shape, terms):
+    """Sum of the terms' outer products, one multi-index at a time."""
+    out = []
+    for idx in itertools.product(*map(range, shape)):
+        val = zero(field)
+        for factors in terms:
+            p = one(field)
+            for v, i in zip(factors, idx):
+                p = p * v[i]
+            val = val + p
+        out.append(val)
+    return out
+
+
+@st.composite
+def decomposition_cases(draw):
+    """(field, shape, target, terms): orders 1-3, up to 3 terms (possibly none);
+    the target is random, the terms' exact sum, or that sum with one entry moved."""
+    field = draw(st.sampled_from([RATIONAL, REAL, COMPLEX]))
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+
+    def scalar():
+        if field == RATIONAL:
+            return F(draw(st.integers(-4, 4)), draw(st.integers(1, 4)))
+        x = draw(st.floats(-4, 4))
+        return x if field == REAL else complex(x, draw(st.floats(-4, 4)))
+
+    terms = [[[scalar() for _ in range(d)] for d in shape] for _ in range(draw(st.integers(0, 3)))]
+    kind = draw(st.sampled_from(["random", "exact", "moved"]))
+    if kind == "random":
+        target = [scalar() for _ in range(math.prod(shape))]
+    else:
+        target = _reference_expansion(field, shape, terms)
+        if kind == "moved":
+            i = draw(st.integers(0, len(target) - 1))
+            target[i] += F(1, 7) if field == RATIONAL else 1e-6
+    return field, shape, target, terms
+
+
+@settings(deadline=None, max_examples=300)
+@given(decomposition_cases())
+def test_verify_matches_multi_index_reference(case):
+    """The reference sums in the kernel's order, so even float residuals agree exactly."""
+    field, shape, target, terms = case
+    ok, residual = verify_decomposition(
+        DenseTensor(shape, target, field),
+        [[DenseTensor.vector(v, field) for v in term] for term in terms],
+    )
+    expansion = _reference_expansion(field, shape, terms)
+    worst = max(abs(a - b) for a, b in zip(expansion, target))
+    if field == RATIONAL:
+        assert (ok, residual) == (worst == 0, float(worst))
+    else:
+        assert residual == worst
+        assert ok == (worst <= EPS_F + EPS_F * max(map(abs, target)))
