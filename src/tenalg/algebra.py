@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from fractions import Fraction
 from typing import Sequence
 
 from . import scalars
@@ -70,13 +71,13 @@ def truncated_dim(d: int, N: int) -> int:
     return (d ** (N + 1) - 1) // (d - 1)
 
 
-# Most list slots one element may take where unit/basis_word and
-# oracle_signature allocate it: its truncated_dim(d, N) coefficients plus the
-# N (N + 1) / 2 entries of the level shapes (d,) * n, which dominate when
-# d == 1.  A larger count is refused before any list is built.  A slot costs
-# 8 bytes, and a distinct float 24 more, so an element at the budget takes
-# about 32 MB and a product needs several.  Every test and benchmark shape
-# is at most truncated_dim(4, 5) = 1365 coefficients.
+# Most list slots one element may take where unit/basis_word,
+# oracle_signature and tt_from_json allocate it: its truncated_dim(d, N)
+# coefficients plus the N (N + 1) / 2 entries of the level shapes (d,) * n,
+# which dominate when d == 1.  A larger count is refused before any list is
+# built.  A slot costs 8 bytes, and a distinct float 24 more, so an element
+# at the budget takes about 32 MB and a product needs several.  Every test
+# and benchmark shape is at most truncated_dim(4, 5) = 1365 coefficients.
 MAX_COEFFS = 1 << 20
 
 
@@ -214,8 +215,7 @@ def basis_word(d: int, N: int, word: Sequence[int], field: str = RATIONAL) -> Tr
         raise IndexError(f"word of length {len(word)} exceeds truncation level {N}")
     flats = [[zero] * (d ** n) for n in range(N + 1)]
     flats[len(word)][word_to_index(word, d)] = scalars.one(field)
-    levels = [DenseTensor._trusted((d,) * n, flat, field) for n, flat in enumerate(flats)]
-    return TruncatedTensor._trusted(d, N, levels, field)
+    return _wrap(d, N, flats, field)
 
 
 def _accumulate(out: list, a: list, b: list) -> None:
@@ -229,18 +229,49 @@ def _accumulate(out: list, a: list, b: list) -> None:
             out[base + j] += av * bv
 
 
+def _integer_levels(x: TruncatedTensor):
+    """``(D, X)``: D the lcm of every denominator of rational ``x``, X the
+    flat levels of ``D * x`` over ints."""
+    D, flat = scalars.integer_row([c for lvl in x.levels for c in lvl.coeffs])
+    X, start = [], 0
+    for n in range(x.N + 1):
+        X.append(flat[start : start + x.d ** n])
+        start += x.d ** n
+    return D, X
+
+
+def _wrap(d: int, N: int, flats: list, field: str) -> TruncatedTensor:
+    levels = [DenseTensor._trusted((d,) * n, flat, field) for n, flat in enumerate(flats)]
+    return TruncatedTensor._trusted(d, N, levels, field)
+
+
 def concat_product(x: TruncatedTensor, y: TruncatedTensor) -> TruncatedTensor:
-    """Truncated concatenation product (levelwise convolution of levels)."""
+    """Truncated concatenation product (levelwise convolution of levels).
+
+    Over the rationals the convolution runs over ints: with ``Dx`` and ``Dy``
+    the common denominators of the operands, ``(Dx x)(Dy y)`` is integral and
+    each coefficient of the product is built once as ``Fraction(v, Dx * Dy)``.
+    """
     x._compatible(y)
     d, N, field = x.d, x.N, x.field
-    zero = scalars.zero(field)
+    if field == RATIONAL:
+        Dx, xs = _integer_levels(x)
+        Dy, ys = _integer_levels(y)
+        zero = 0
+    else:
+        xs = [lvl.coeffs for lvl in x.levels]
+        ys = [lvl.coeffs for lvl in y.levels]
+        zero = scalars.zero(field)
     out_levels = []
     for n in range(N + 1):
         out = [zero] * (d ** n)
         for k in range(n + 1):
-            _accumulate(out, x.levels[k].coeffs, y.levels[n - k].coeffs)
-        out_levels.append(DenseTensor._trusted((d,) * n, out, field))
-    return TruncatedTensor._trusted(d, N, out_levels, field)
+            _accumulate(out, xs[k], ys[n - k])
+        out_levels.append(out)
+    if field == RATIONAL:
+        den = Dx * Dy
+        out_levels = [[Fraction(v, den) for v in out] for out in out_levels]
+    return _wrap(d, N, out_levels, field)
 
 
 def inverse(x: TruncatedTensor) -> TruncatedTensor:
@@ -255,22 +286,42 @@ def inverse(x: TruncatedTensor) -> TruncatedTensor:
     which only reads levels of ``y`` already computed.  That is one product's
     worth of multiply-adds.  In this algebra a right inverse is also a left
     inverse, so ``y x = 1`` holds as well.
+
+    Over the rationals the recursion runs over ints.  With ``D`` the common
+    denominator of ``x``, write ``X = D x`` and ``A = X_0``, so ``a = A / D``.
+    The integer levels
+
+        Y_0 = [1],    Y_n = -sum_{k=1}^{n} A^(k-1) X_k (x) Y_{n-k}
+
+    give ``y_n = D Y_n / A^(n+1)``: true at level 0, and if it holds below
+    ``n`` then ``-(1/a) x_k (x) y_{n-k} = -(D/A) (X_k/D) (x) D Y_{n-k} /
+    A^(n-k+1) = -D A^(k-1) X_k (x) Y_{n-k} / A^(n+1)``.  Each coefficient of
+    ``y`` is built once as ``Fraction(D v, A^(n+1))``.
     """
     d, N, field = x.d, x.N, x.field
-    zero = scalars.zero(field)
-    a = x.scalar_part()
-    if a == zero:
+    if not x.scalar_part():
         raise NotInvertibleError("level-0 scalar is zero")
-    inv_a = scalars.one(field) / a
-    neg_inv_a = -inv_a
-    ys = [[inv_a]]
+    if field == RATIONAL:
+        D, X = _integer_levels(x)
+        A = X[0][0]
+        xs, p = [None], -1
+        for Xk in X[1:]:  # -A^(k-1) X_k
+            xs.append([p * c for c in Xk])
+            p *= A
+        ys, zero, scale = [[1]], 0, None
+    else:
+        xs = [lvl.coeffs for lvl in x.levels]
+        inv_a = scalars.one(field) / x.scalar_part()
+        ys, zero, scale = [[inv_a]], scalars.zero(field), -inv_a
     for n in range(1, N + 1):
         acc = [zero] * (d ** n)
         for k in range(1, n + 1):
-            _accumulate(acc, x.levels[k].coeffs, ys[n - k])
-        ys.append([neg_inv_a * c for c in acc])
-    levels = [DenseTensor._trusted((d,) * n, y, field) for n, y in enumerate(ys)]
-    return TruncatedTensor._trusted(d, N, levels, field)
+            _accumulate(acc, xs[k], ys[n - k])
+        ys.append(acc if scale is None else [scale * c for c in acc])
+    if field == RATIONAL:
+        dens = [A ** (n + 1) for n in range(N + 1)]
+        ys = [[Fraction(D * v, den) for v in y] for y, den in zip(ys, dens)]
+    return _wrap(d, N, ys, field)
 
 
 def project(x: TruncatedTensor, M: int) -> TruncatedTensor:
@@ -286,7 +337,9 @@ def project(x: TruncatedTensor, M: int) -> TruncatedTensor:
 #    "levels": [["1"], ["0", "0"], ["0", "0", "0", "0"]]}
 #
 # level n is a flat row-major list of d^n scalars, encoded per field as in
-# the dense tensor format.  Unknown extra keys are ignored on input.
+# the dense tensor format.  "d" and "N" must be JSON integers, and (d, N) is
+# held to MAX_COEFFS before any level is decoded.  Unknown extra keys are
+# ignored on input.
 
 
 def tt_to_json(x: TruncatedTensor) -> dict:
@@ -304,7 +357,8 @@ def tt_from_json(obj: dict) -> TruncatedTensor:
     if not isinstance(obj, dict) or not {"d", "N", "levels"} <= set(obj):
         raise ValueError("truncated-tensor JSON must have 'd', 'N', 'field', 'levels' keys")
     field = scalars.check_field(obj.get("field", RATIONAL))
-    d, N = int(obj["d"]), int(obj["N"])
+    d, N = scalars.json_int(obj["d"], "'d'"), scalars.json_int(obj["N"], "'N'")
+    _check_budget(d, N)
     flat_levels = [
         [scalars.from_json(field, c) for c in lvl] for lvl in obj["levels"]
     ]

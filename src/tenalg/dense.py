@@ -240,7 +240,8 @@ def multi_tensor_product(factors: Sequence[DenseTensor]) -> DenseTensor:
 #    "coeffs": [...]}
 #
 # coefficients in row-major order; rationals as "p/q" strings, reals as
-# numbers, complex values as [re, im] pairs.
+# numbers, complex values as [re, im] pairs.  The shape entries must be JSON
+# integers.
 
 
 def tensor_to_json(t: DenseTensor) -> dict:
@@ -255,9 +256,12 @@ def tensor_from_json(obj: dict) -> DenseTensor:
     if not isinstance(obj, dict) or "shape" not in obj or "coeffs" not in obj:
         raise ValueError("tensor JSON must have 'shape', 'field' and 'coeffs' keys")
     field = scalars.check_field(obj.get("field", RATIONAL))
+    if not isinstance(obj["shape"], list):
+        raise ValueError(f"'shape' must be a list of JSON integers, got {obj['shape']!r}")
+    shape = tuple(scalars.json_int(n, "every 'shape' entry") for n in obj["shape"])
     coeffs = [scalars.from_json(field, c) for c in obj["coeffs"]]
     scalars.check_finite(field, coeffs)
-    return DenseTensor(tuple(obj["shape"]), coeffs, field)
+    return DenseTensor(shape, coeffs, field)
 
 
 def dump_tensor(t: DenseTensor) -> str:

@@ -30,7 +30,7 @@ from typing import List, Sequence, Tuple
 
 from . import scalars
 from .dense import DenseTensor, ShapeMismatchError
-from .scalars import RATIONAL, REAL
+from .scalars import RATIONAL, REAL, integer_row
 
 __all__ = [
     "ConvergenceError",
@@ -80,12 +80,6 @@ def _as_fraction_matrix(M) -> List[List[Fraction]]:
     return [[x if type(x) is Fraction else Fraction(x) for x in row] for row in M]
 
 
-def _integer_row(row: Sequence[Fraction]) -> Tuple[int, List[int]]:
-    """``(L, L * row)`` with L the lcm of the row's denominators, so L * row is integral."""
-    L = math.lcm(*(x.denominator for x in row))
-    return L, [x.numerator * (L // x.denominator) for x in row]
-
-
 def rref(M) -> Tuple[List[List[Fraction]], List[int]]:
     """Reduced row echelon form over the rationals.
 
@@ -108,7 +102,7 @@ def rref(M) -> Tuple[List[List[Fraction]], List[int]]:
     if not A:
         return [], []
     n, m = len(A), len(A[0])
-    B = [_integer_row(row)[1] for row in A]
+    B = [integer_row(row)[1] for row in A]
     pivots: List[int] = []
     row = 0
     prev = 1
@@ -333,8 +327,8 @@ def _residual(field: str, target: list, terms) -> Tuple[bool, float]:
     """
     goal, lead = target, [1] * len(terms)
     if field == RATIONAL:
-        L, goal = _integer_row(target)
-        terms = [[_integer_row(v) for v in term] for term in terms]
+        L, goal = integer_row(target)
+        terms = [[integer_row(v) for v in term] for term in terms]
         lead = [math.prod(K for K, _ in term) for term in terms]
         S = math.lcm(L, *lead)
         goal = [S // L * x for x in goal]

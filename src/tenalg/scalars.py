@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from typing import List, Sequence, Tuple
 
 RATIONAL = "rational"
 REAL = "real"
@@ -95,6 +96,16 @@ def close(field: str, a, b) -> bool:
     return abs(a - b) <= EPS_F + EPS_F * max(abs(a), abs(b))
 
 
+def integer_row(row: Sequence[Fraction]) -> Tuple[int, List[int]]:
+    """``(L, L * row)`` with L the lcm of the row's denominators, so L * row is integral.
+
+    The exact kernels run over Python ints on rows lifted this way and build
+    a Fraction only for each result coefficient.
+    """
+    L = math.lcm(*(x.denominator for x in row))
+    return L, [x.numerator * (L // x.denominator) for x in row]
+
+
 def check_finite(field: str, values) -> None:
     """Raise :class:`ValueError` if a real or complex value is NaN or infinite.
 
@@ -106,6 +117,17 @@ def check_finite(field: str, values) -> None:
         return
     if not all(map(math.isfinite if field == REAL else cmath.isfinite, values)):
         raise ValueError(f"{field} coefficients must be finite, got NaN or an infinity")
+
+
+def json_int(obj, what: str) -> int:
+    """Decode an integer header value (a size or a level) of the JSON formats.
+
+    Only a JSON integer is accepted: a float, a bool or a string is refused,
+    never truncated or converted.
+    """
+    if type(obj) is not int:
+        raise ValueError(f"{what} must be a JSON integer, got {obj!r}")
+    return obj
 
 
 def to_json(field: str, value):

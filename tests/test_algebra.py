@@ -313,6 +313,94 @@ def test_inverse_one_letter_is_power_series():
     assert inverse(x) == tt(1, 3, [[F(1, 2)], [F(1, 4)], [F(1, 8)], [F(1, 16)]])
 
 
+# -- rational kernels over ints ------------------------------------------------------
+#
+# concat_product and inverse compute rational results over ints on a common
+# denominator; these tests hold them to plain Fraction arithmetic.
+
+# distinct primes, so their lcm is their product and runs past a machine word
+LARGE_PRIMES = [1_000_003, 998_244_353, 2**61 - 1, 10**18 + 9]
+wide_rationals = st.builds(
+    F,
+    st.integers(-(10**6), 10**6),
+    st.sampled_from([1, 2, 3, 7, *LARGE_PRIMES]) | st.integers(1, 10**6),
+)
+
+
+@st.composite
+def wide_elements(draw, d, N):
+    """Level 0 a non-zero rational of either sign; each level above is
+    all-zero one time in four."""
+    levels = [[draw(wide_rationals.filter(bool))]]
+    for n in range(1, N + 1):
+        if draw(st.integers(0, 3)) == 0:
+            levels.append([F(0)] * d**n)
+        else:
+            levels.append(draw(st.lists(wide_rationals, min_size=d**n, max_size=d**n)))
+    return tt(d, N, levels)
+
+
+@st.composite
+def wide_pairs(draw):
+    d, N = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    return draw(wide_elements(d, N)), draw(wide_elements(d, N))
+
+
+def fraction_product(x, y):
+    """The convolution formula, term by term in Fractions."""
+    d, N = x.d, x.N
+    out = []
+    for n in range(N + 1):
+        w = [F(0)] * d**n
+        for k in range(n + 1):
+            a, b = x.level(k).coeffs, y.level(n - k).coeffs
+            for i, av in enumerate(a):
+                for j, bv in enumerate(b):
+                    w[i * len(b) + j] += av * bv
+        out.append(w)
+    return out
+
+
+def fraction_inverse(x):
+    """The levelwise recursion y_n = -(1/a) sum_k x_k (x) y_{n-k} in Fractions."""
+    d, N = x.d, x.N
+    a = x.scalar_part()
+    ys = [[1 / a]]
+    for n in range(1, N + 1):
+        w = [F(0)] * d**n
+        for k in range(1, n + 1):
+            a_k, b = x.level(k).coeffs, ys[n - k]
+            for i, av in enumerate(a_k):
+                for j, bv in enumerate(b):
+                    w[i * len(b) + j] += av * bv
+        ys.append([-c / a for c in w])
+    return ys
+
+
+def _flat_fraction_levels(x):
+    levels = [lvl.coeffs for lvl in x.levels]
+    assert all(type(c) is F for lvl in levels for c in lvl)
+    return levels
+
+
+@settings(deadline=None, max_examples=100)
+@given(wide_pairs())
+def test_rational_product_and_inverse_match_fraction_reference(xy):
+    x, y = xy
+    assert _flat_fraction_levels(concat_product(x, y)) == fraction_product(x, y)
+    assert _flat_fraction_levels(inverse(x)) == fraction_inverse(x)
+
+
+@settings(deadline=None, max_examples=100)
+@given(wide_pairs())
+def test_rational_inverse_is_exact_two_sided(xy):
+    x, _ = xy
+    y = inverse(x)
+    e = unit(x.d, x.N)
+    assert concat_product(x, y) == e == concat_product(y, x)
+    assert _flat_fraction_levels(concat_product(x, y)) == [lvl.coeffs for lvl in e.levels]
+
+
 # -- projection --------------------------------------------------------------------
 
 

@@ -245,6 +245,44 @@ def test_coefficient_budget_refuses_before_allocating(tmp_path, capsys, address_
     assert code == 0 and out == "5230176601\n"
 
 
+def test_algebra_operand_budget_refused_before_levels_are_decoded(tmp_path, capsys):
+    # 14 KB on disk; its 2000 level shapes (1,) * n alone would hold two
+    # million entries
+    f = tmp_path / "long.json"
+    levels = json.dumps([["1"]] + [["0"]] * 2000)
+    f.write_text(f'{{"d": 1, "N": 2000, "field": "rational", "levels": {levels}}}', encoding="utf-8")
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "algebra", "project", str(f), "--level", "0")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "budget" in err
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["algebra", "inv", "FILE"],
+         '{"d": 2.7, "N": 1, "field": "rational", "levels": [["1"], ["0", "0"]]}'),
+        (["algebra", "inv", "FILE"],
+         '{"d": true, "N": 1, "field": "rational", "levels": [["1"], ["0"]]}'),
+        (["algebra", "inv", "FILE"],
+         '{"d": 1, "N": 1.9, "field": "rational", "levels": [["1"], ["0"]]}'),
+        (["rank", "FILE"], '{"shape": [2.5, 2], "field": "rational", "coeffs": ["1", "0", "0", "1"]}'),
+    ],
+    ids=["float-d", "bool-d", "float-N", "float-shape"],
+)
+def test_non_integer_json_header_is_user_error(tmp_path, capsys, argv, text):
+    f = tmp_path / "input.json"
+    f.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, *[str(f) if a == "FILE" else a for a in argv])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "JSON integer" in err and "Traceback" not in err
+
+
 def test_algebra_project(tmp_path, capsys):
     f = tmp_path / "x.json"
     f.write_text(X_JSON, encoding="utf-8")
