@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import scalars
-from .dense import DenseTensor
+from .dense import DenseTensor, _as_size
 from .scalars import RATIONAL
 
 __all__ = [
@@ -58,14 +58,16 @@ def word_to_index(word: Sequence[int], d: int) -> int:
     return idx
 
 
-def _check_dims(d: int, N: int) -> None:
+def _check_dims(d: int, N: int) -> tuple:
+    d, N = _as_size(d, ValueError), _as_size(N, ValueError)
     if d < 1 or N < 0:
         raise ValueError("need d >= 1 and N >= 0")
+    return d, N
 
 
 def truncated_dim(d: int, N: int) -> int:
     """Number of words of length <= N over ``1..d``."""
-    _check_dims(d, N)
+    d, N = _check_dims(d, N)
     if d == 1:
         return N + 1
     return (d ** (N + 1) - 1) // (d - 1)
@@ -98,7 +100,7 @@ class TruncatedTensor:
     __slots__ = ("d", "N", "field", "levels")
 
     def __init__(self, d: int, N: int, levels: Sequence[DenseTensor], field: str = RATIONAL):
-        _check_dims(d, N)
+        d, N = _check_dims(d, N)
         scalars.check_field(field)
         levels = list(levels)
         if len(levels) != N + 1:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__, algebra, expr, rank, scalars, signature
@@ -41,15 +42,12 @@ def _print_json(obj) -> None:
 
 
 def _vector_block(values, field):
-    strs = [scalars.to_json(field, v) if field != REAL else repr(v) for v in values]
-    strs = [s if isinstance(s, str) else repr(s) for s in strs]
+    strs = [str(v) if field == RATIONAL else repr(v) for v in values]
     width = max(len(s) for s in strs)
     return ["( " + s.rjust(width) + " )" for s in strs]
 
 
 def _pad_block(lines, height):
-    if not lines:
-        return [""] * height
     width = len(lines[0])
     top = (height - len(lines)) // 2
     bottom = height - len(lines) - top
@@ -97,9 +95,23 @@ def _decomposition_json(dec: rank.RankDecomposition, shape) -> dict:
 # -- subcommand handlers ------------------------------------------------------
 
 
+# Most decimal digits `tenalg dim` prints: CPython's default limit on converting
+# an int to a string, fixed here so the output never depends on the interpreter.
+MAX_DIM_DIGITS = 4300
+
+
 def _cmd_dim(args) -> int:
-    print(algebra.truncated_dim(args.d, args.N))
-    return 0
+    d, N = args.d, args.N
+    # the dimension is at least d ** N, so a large N is refused before the power is built
+    if d < 2 or N < (MAX_DIM_DIGITS + 1) / math.log10(d):
+        value = algebra.truncated_dim(d, N)
+        if value < 10**MAX_DIM_DIGITS:
+            print(value)
+            return 0
+    raise ValueError(
+        f"the level-{N} truncated algebra over R^{d} has a dimension of more than "
+        f"{MAX_DIM_DIGITS} decimal digits"
+    )
 
 
 def _load_matrix(path: str):
@@ -134,20 +146,21 @@ def _cmd_decompose(args) -> int:
 
 def _factor_result(args):
     e = expr.parse(args.expression)
+    field = args.field or (REAL if args.method == "als" else RATIONAL)
     if args.method == "exact":
-        if args.field != RATIONAL:
+        if field != RATIONAL:
             raise ValueError("exact factoring works over the rational field")
         return expr.factor_exact_order2(e, route=args.route), None
     if args.method in ("greedy-left", "greedy-right"):
-        if args.field != RATIONAL:
+        if field != RATIONAL:
             raise ValueError("greedy factoring works over the rational field")
         return expr.factor_greedy(e, args.method.split("-")[1]), None
-    if args.field not in (REAL, COMPLEX):
+    if field not in (REAL, COMPLEX):
         raise ValueError("ALS factoring needs --field real or --field complex")
     return expr.factor_heuristic_higher_order(
         e,
         args.max_rank,
-        args.field,
+        field,
         seed=args.seed,
         sweeps=args.sweeps,
         restarts=args.restarts,
@@ -304,8 +317,6 @@ def main(argv=None) -> int:
     if getattr(args, "command", None) is None:
         parser.print_usage(sys.stderr)
         return 1
-    if getattr(args, "func", None) is _cmd_factor and args.field is None:
-        args.field = REAL if args.method == "als" else RATIONAL
     try:
         return args.func(args)
     except (rank.ConvergenceError, NonFiniteResultError) as exc:

@@ -13,6 +13,7 @@ instances are safe to share across threads.
 from __future__ import annotations
 
 import json
+import operator
 from typing import Iterable, Sequence
 
 from . import scalars
@@ -38,8 +39,18 @@ class ShapeMismatchError(ValueError):
     """Operands whose shapes are incompatible for the requested operation."""
 
 
+def _as_size(d, error=ShapeMismatchError) -> int:
+    """A size as an int: an ``int`` or another ``__index__`` type.  A bool, a
+    float or a string is refused with ``error``, never truncated or converted."""
+    if type(d) is int:
+        return d
+    if isinstance(d, bool) or not hasattr(type(d), "__index__"):
+        raise error(f"sizes must be integers, got {d!r}")
+    return operator.index(d)
+
+
 def _check_shape(shape) -> tuple:
-    dims = tuple(int(d) for d in shape)
+    dims = tuple(map(_as_size, shape))
     for d in dims:
         if d < 1:
             raise ShapeMismatchError(f"all dimensions must be >= 1, got {dims}")

@@ -220,26 +220,35 @@ class _Parser:
         return tok
 
     def parse_expression(self) -> List[Term]:
-        terms = []
-        sign = Fraction(1)
-        if self.peek()[0] == "-":
-            self.next()
-            sign = Fraction(-1)
-        terms.append(self.parse_term(sign))
-        while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
-            terms.append(self.parse_term(Fraction(-1) if op == "-" else Fraction(1)))
+        terms = self.parse_signed_sum(self.parse_term)
         tok = self.peek()
         if tok[0] != "end":
             raise ExprSyntaxError(f"unexpected {tok[1]!r}", tok[2])
         return terms
 
-    def parse_term(self, sign: Fraction) -> Term:
-        coeff = sign
+    def parse_signed_sum(self, parse_item) -> list:
+        """An optional leading ``-``, then items joined by ``+``/``-``, each
+        parsed by ``parse_item`` with its sign."""
+        sign = Fraction(1)
+        if self.peek()[0] == "-":
+            self.next()
+            sign = Fraction(-1)
+        items = [parse_item(sign)]
+        while self.peek()[0] in ("+", "-"):
+            op = self.next()[0]
+            items.append(parse_item(Fraction(-1) if op == "-" else Fraction(1)))
+        return items
+
+    def parse_coefficient(self, sign: Fraction) -> Fraction:
+        """An optional number, then an optional ``*``; returns ``sign`` times the number."""
         if self.peek()[0] == "num":
-            coeff = coeff * self.next()[1]
+            sign = sign * self.next()[1]
             if self.peek()[0] == "*":
                 self.next()
+        return sign
+
+    def parse_term(self, sign: Fraction) -> Term:
+        coeff = self.parse_coefficient(sign)
         slots = [self.parse_slot()]
         while self.peek()[0] == "@":
             self.next()
@@ -253,33 +262,14 @@ class _Parser:
             return SlotVector(((tok[1], Fraction(1)),))
         if tok[0] == "(":
             self.next()
-            sv = self.parse_combo()
+            sv = SlotVector(self.parse_signed_sum(self.parse_combo_entry))
             self.expect(")")
             return sv
         raise ExprSyntaxError(f"expected a symbol or '(', found {tok[1]!r}", tok[2])
 
-    def parse_combo(self) -> SlotVector:
-        entries = []
-        sign = Fraction(1)
-        if self.peek()[0] == "-":
-            self.next()
-            sign = Fraction(-1)
-        entries.append(self.parse_combo_entry(sign))
-        while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
-            entries.append(
-                self.parse_combo_entry(Fraction(-1) if op == "-" else Fraction(1))
-            )
-        return SlotVector(entries)
-
     def parse_combo_entry(self, sign: Fraction):
-        coeff = sign
-        if self.peek()[0] == "num":
-            coeff = coeff * self.next()[1]
-            if self.peek()[0] == "*":
-                self.next()
-        tok = self.expect("ident")
-        return (tok[1], coeff)
+        coeff = self.parse_coefficient(sign)
+        return (self.expect("ident")[1], coeff)
 
 
 def _validate(terms: Sequence[Term]):
@@ -329,37 +319,38 @@ def _split_sign(field: str, coeff):
     return (-1, -coeff) if coeff < 0 else (1, coeff)
 
 
+def _signed_join(field: str, pieces) -> str:
+    """Print ``(coefficient, body)`` pieces as a signed sum: the first as
+    ``-body``, later ones as ``- body`` or ``+ body``, each body led by its
+    coefficient's magnitude unless that is 1."""
+    out = []
+    for idx, (coeff, body) in enumerate(pieces):
+        sgn, mag = _split_sign(field, coeff)
+        if mag != scalars.one(field):
+            body = f"{_scalar_str(field, mag)} {body}"
+        if idx == 0:
+            out.append(("-" if sgn < 0 else "") + body)
+        else:
+            out.append(("- " if sgn < 0 else "+ ") + body)
+    return " ".join(out)
+
+
 def _render_slot(field: str, sv: SlotVector) -> str:
     if sv.is_zero():
         return "(0)"
     if len(sv.entries) == 1 and sv.entries[0][1] == scalars.one(field):
         return sv.entries[0][0]
-    pieces = []
-    for idx, (sym, coeff) in enumerate(sv.entries):
-        sgn, mag = _split_sign(field, coeff)
-        body = sym if mag == scalars.one(field) else f"{_scalar_str(field, mag)} {sym}"
-        if idx == 0:
-            pieces.append(("-" if sgn < 0 else "") + body)
-        else:
-            pieces.append(("- " if sgn < 0 else "+ ") + body)
-    return "(" + " ".join(pieces) + ")"
+    return "(" + _signed_join(field, ((c, sym) for sym, c in sv.entries)) + ")"
 
 
 def render(e: TensorExpr) -> str:
     """Canonical textual form; inverse of :func:`parse` on canonical input."""
     if not e.terms:
         return "0"
-    parts = []
-    for idx, t in enumerate(e.terms):
-        sgn, mag = _split_sign(e.field, t.coefficient)
-        body = "@".join(_render_slot(e.field, sv) for sv in t.slots)
-        if mag != scalars.one(e.field):
-            body = f"{_scalar_str(e.field, mag)} {body}"
-        if idx == 0:
-            parts.append(("-" if sgn < 0 else "") + body)
-        else:
-            parts.append(("- " if sgn < 0 else "+ ") + body)
-    return " ".join(parts)
+    return _signed_join(
+        e.field,
+        ((t.coefficient, "@".join(_render_slot(e.field, sv) for sv in t.slots)) for t in e.terms),
+    )
 
 
 # -- coefficient tensor and expansion ----------------------------------------
@@ -391,10 +382,7 @@ def to_coefficient_tensor(e: TensorExpr) -> Tuple[DenseTensor, SlotBasis]:
     if not live:
         raise ValueError("cannot build a coefficient tensor: no contributing terms")
     index = [{sym: i for i, sym in enumerate(slot)} for slot in basis.per_slot]
-    total = 1
-    for d in dims:
-        total *= d
-    coeffs = [scalars.zero(e.field)] * total
+    coeffs = [scalars.zero(e.field)] * math.prod(dims)
     for t in live:
         partial = [(0, scalars.coerce(e.field, t.coefficient))]
         for k, sv in enumerate(t.slots):
@@ -415,27 +403,31 @@ def expand(e: TensorExpr) -> TensorExpr:
     if not _live_terms(e.terms):
         return TensorExpr((), e.field)
     tensor, basis = to_coefficient_tensor(e)
-    dims = basis.dims
     zero = scalars.zero(e.field)
     one = scalars.one(e.field)
-    terms = []
-    for off, c in enumerate(tensor.coeffs):
-        if c == zero:
-            continue
-        idx = []
-        rem = off
-        for d in reversed(dims):
-            idx.append(rem % d)
-            rem //= d
-        idx.reverse()
-        slots = tuple(
-            SlotVector(((basis.per_slot[k][i], one),)) for k, i in enumerate(idx)
-        )
-        terms.append(Term(c, slots))
+    terms = [
+        Term(c, tuple(SlotVector(((sym, one),)) for sym in syms))
+        for syms, c in zip(iter_product(*basis.per_slot), tensor.coeffs)
+        if c != zero
+    ]
     return TensorExpr(tuple(terms), e.field)
 
 
 # -- factoring ----------------------------------------------------------------
+
+
+def _factored(basis: SlotBasis, terms, field: str) -> TensorExpr:
+    """The sum of unit-coefficient terms whose slot ``k`` holds the given
+    coefficient vector over ``basis.per_slot[k]``; ``terms`` yields one
+    sequence of per-slot vectors per term.  Zero entries drop out."""
+    one = scalars.one(field)
+    return TensorExpr(
+        tuple(
+            Term(one, tuple(SlotVector(tuple(zip(syms, v))) for syms, v in zip(basis.per_slot, vecs)))
+            for vecs in terms
+        ),
+        field,
+    )
 
 
 def factor_exact_order2(e: TensorExpr, route: str = "rref") -> TensorExpr:
@@ -457,23 +449,11 @@ def factor_exact_order2(e: TensorExpr, route: str = "rref") -> TensorExpr:
     if not _live_terms(e.terms):
         return TensorExpr((), out_field)
     tensor, basis = to_coefficient_tensor(e)
-    n, m = tensor.shape
-    rows = [[tensor.coeffs[i * m + j] for j in range(m)] for i in range(n)]
     if route == "rref":
-        dec = rank_decompose_rref(rows)
+        dec = rank_decompose_rref(tensor)
     else:
-        dec = rank_decompose_svd(rows)
-    one = scalars.one(out_field)
-    terms = []
-    for l in range(dec.r):
-        left = SlotVector(
-            tuple((basis.per_slot[0][i], dec.d1[l][i]) for i in range(n))
-        )
-        right = SlotVector(
-            tuple((basis.per_slot[1][j], dec.d2[l][j]) for j in range(m))
-        )
-        terms.append(Term(one, (left, right)))
-    return TensorExpr(tuple(terms), out_field)
+        dec = rank_decompose_svd(tensor)
+    return _factored(basis, zip(dec.d1, dec.d2), out_field)
 
 
 def factor_greedy(e: TensorExpr, direction: str = "left") -> TensorExpr:
@@ -554,17 +534,17 @@ def _solve_linear(A, B):
     return X
 
 
+def _draw(rng, field: str):
+    """One ALS starting value: uniform on [-1, 1], or on the square [-1, 1]^2 over C."""
+    x = rng.uniform(-1, 1)
+    return complex(x, rng.uniform(-1, 1)) if field == COMPLEX else x
+
+
 def _als_fit(dims, target, r, field, rng, sweeps, tol) -> Tuple[float, Optional[list]]:
+    """One ALS run at rank ``r``; returns ``(residual, terms)``, where term
+    ``l`` is its list of per-slot vectors, or ``(best residual, None)``."""
     m = len(dims)
-    if field == COMPLEX:
-        factors = [
-            [[complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(r)] for _ in range(d)]
-            for d in dims
-        ]
-    else:
-        factors = [
-            [[rng.uniform(-1, 1) for _ in range(r)] for _ in range(d)] for d in dims
-        ]
+    factors = [[[_draw(rng, field) for _ in range(r)] for _ in range(d)] for d in dims]
     strides = [1] * m
     for k in range(m - 2, -1, -1):
         strides[k] = strides[k + 1] * dims[k + 1]
@@ -602,7 +582,7 @@ def _als_fit(dims, target, r, field, rng, sweeps, tol) -> Tuple[float, Optional[
         terms = [[[row[l] for row in f] for f in factors] for l in range(r)]
         _, res = _residual(field, target, terms)
         if res <= tol:
-            return res, factors
+            return res, terms
         if res < best - 1e-14:
             best = res
             stale = 0
@@ -648,29 +628,12 @@ def factor_heuristic_higher_order(
     target = [scalars.coerce(field, c) for c in tensor.coeffs]
     if all(c == scalars.zero(field) for c in target):
         return TensorExpr((), field), "verified-upper-bound"
-    dims = tensor.shape
-    one = scalars.one(field)
-    zero = scalars.zero(field)
     for r in range(1, max_rank + 1):
         for restart in range(restarts):
             rng = random.Random(seed + restart)
-            res, factors = _als_fit(dims, target, r, field, rng, sweeps, tol)
-            if factors is None:
-                continue
-            terms = []
-            for l in range(r):
-                slots = tuple(
-                    SlotVector(
-                        tuple(
-                            (basis.per_slot[k][i], factors[k][i][l])
-                            for i in range(dims[k])
-                            if factors[k][i][l] != zero
-                        )
-                    )
-                    for k in range(len(dims))
-                )
-                terms.append(Term(one, slots))
-            return TensorExpr(tuple(terms), field), "verified-upper-bound"
+            _, terms = _als_fit(tensor.shape, target, r, field, rng, sweeps, tol)
+            if terms is not None:
+                return _factored(basis, terms, field), "verified-upper-bound"
     return e, "failed"
 
 

@@ -436,6 +436,24 @@ def test_truncated_dim_values():
     assert truncated_dim(1, 4) == 5
 
 
+def test_truncated_dim_refuses_a_float_size():
+    with pytest.raises(ValueError, match="integers"):
+        truncated_dim(2.5, 3)
+
+
+def test_from_flat_levels_refuses_a_float_size():
+    with pytest.raises(ValueError, match="integers"):
+        TruncatedTensor.from_flat_levels(2.0, 1, [[1], [0, 0]])
+    with pytest.raises(ValueError, match="integers"):
+        TruncatedTensor.from_flat_levels(2, 1.0, [[1], [0, 0]])
+
+
+def test_sizes_refuse_bools_and_strings():
+    for d, N in ((True, 2), (2, True), ("2", 2), (2, "2")):
+        with pytest.raises(ValueError, match="integers"):
+            truncated_dim(d, N)
+
+
 def test_truncated_dim_matches_word_enumeration():
     for d in (1, 2, 3):
         for N in range(5):

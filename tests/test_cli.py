@@ -1,8 +1,10 @@
 import json
+import time
 import tracemalloc
 
 import pytest
 
+from tenalg import algebra
 from tenalg.cli import main
 
 B_JSON = '{"shape": [2, 2], "field": "rational", "coeffs": ["1", "0", "1", "1"]}'
@@ -20,6 +22,22 @@ def run(capsys, *argv):
 def test_dim(capsys):
     code, out, _ = run(capsys, "dim", "2", "2")
     assert code == 0 and out == "7\n"
+
+
+@pytest.mark.parametrize("d, N, digits", [("2", "14000", 4215), ("10", "4299", 4300)])
+def test_dim_prints_up_to_4300_digits(capsys, d, N, digits):
+    code, out, err = run(capsys, "dim", d, N)
+    assert code == 0 and err == ""
+    assert out == str(algebra.truncated_dim(int(d), int(N))) + "\n" and len(out) == digits + 1
+
+
+@pytest.mark.parametrize("d, N", [("2", "20000"), ("10", "4300"), ("10", "100000000")])
+def test_dim_over_4300_digits_is_refused_before_the_power(capsys, d, N):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "dim", d, N)
+    assert time.perf_counter() - start < 0.5
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "more than 4300 decimal digits" in err
 
 
 def test_rank_rref(tmp_path, capsys):
@@ -86,6 +104,28 @@ def test_factor_als_json(capsys):
     payload = json.loads(out)
     assert payload["status"] == "verified-upper-bound"
     assert payload["term_count"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["factor", "u1@v1@w1", "--method", "als", "--json"], "real"),
+        (["factor", "a1@b1 + a1@b2 + a2@b1 + a2@b2"], "rational"),
+        (["factor", "a1@b1 + a1@b2 + a2@b1", "--method", "greedy-right", "--json"], "rational"),
+    ],
+)
+def test_factor_default_field(capsys, argv, field):
+    default = run(capsys, *argv)
+    assert default[0] == 0 and default[1]
+    assert default == run(capsys, *argv, "--field", field)
+
+
+def test_factor_greedy_real_field_is_user_error(capsys):
+    code, out, err = run(
+        capsys, "factor", "a1@b1 + a1@b2", "--method", "greedy-left", "--field", "real"
+    )
+    assert code == 1 and out == ""
+    assert err == "error: greedy factoring works over the rational field\n"
 
 
 def test_factor_syntax_error_exit_code(capsys):

@@ -171,6 +171,31 @@ def test_shape_validation():
         DenseTensor((2,), [1])
 
 
+class _Two:
+    def __index__(self):
+        return 2
+
+
+def test_float_dimension_is_refused():
+    with pytest.raises(ShapeMismatchError, match="integers"):
+        DenseTensor.zeros((2.7,))
+
+
+def test_bool_dimension_is_refused():
+    with pytest.raises(ShapeMismatchError, match="integers"):
+        DenseTensor((True, 2), [0, 0])
+
+
+def test_string_dimension_is_refused():
+    with pytest.raises(ShapeMismatchError, match="integers"):
+        DenseTensor(("3",), [0, 0, 0])
+
+
+def test_index_dimension_is_accepted_as_int():
+    shape = DenseTensor.zeros((_Two(), 3)).shape
+    assert shape == (2, 3) and all(type(d) is int for d in shape)
+
+
 # -- algebraic laws --------------------------------------------------------------
 
 

@@ -1,8 +1,11 @@
 import math
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tenalg.expr as expr_module
 from tenalg import (
@@ -24,6 +27,8 @@ from tenalg import (
 )
 from tenalg.expr import (
     SlotVector,
+    TensorExpr,
+    Term,
     expr_from_json,
     expr_to_json,
     infer_bases,
@@ -167,6 +172,88 @@ def test_render_parse_round_trip_canonical():
     for _ in range(25):
         e = expand(parse(random_order2_expr(rng)))
         assert expand(parse(render(e))) == e
+
+
+# A generated expression is a list of terms; a term is (sign, magnitude, written
+# coefficient, slots), and a slot is a list of (sign, magnitude, written
+# coefficient, symbol) entries with distinct symbols, written bare when it is a
+# single entry of coefficient 1 and parenthesised otherwise.
+_magnitudes = st.one_of(st.just((1, 1)), st.tuples(st.integers(1, 6), st.integers(1, 4)))
+
+
+@st.composite
+def _coefficient(draw):
+    p, q = draw(_magnitudes)
+    if (p, q) == (1, 1) and draw(st.booleans()):
+        text = ""
+    else:
+        text = (f"{p}/{q}" if q > 1 else str(p)) + draw(st.sampled_from([" ", "*", " * ", ""]))
+    return draw(st.sampled_from([1, -1])), F(p, q), text
+
+
+@st.composite
+def _slot(draw, k):
+    symbols = draw(
+        st.lists(st.sampled_from([f"{'abc'[k]}1", f"{'abc'[k]}2", f"{'abc'[k]}^2"]),
+                 min_size=1, max_size=3, unique=True)
+    )
+    entries = [draw(_coefficient()) + (sym,) for sym in symbols]
+    bare = len(entries) == 1 and entries[0][:3] == (1, F(1), "") and draw(st.booleans())
+    return entries, bare
+
+
+@st.composite
+def _grouped_expression(draw):
+    order = draw(st.integers(1, 3))
+    return [
+        draw(_coefficient()) + ([draw(_slot(k)) for k in range(order)],)
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+
+
+def _signed_text(pieces):
+    return "".join(
+        ("-" if sign < 0 else "") + body if i == 0 else (" - " if sign < 0 else " + ") + body
+        for i, (sign, body) in enumerate(pieces)
+    )
+
+
+def _expression_text(terms):
+    def slot_text(entries, bare):
+        if bare:
+            return entries[0][3]
+        return "(" + _signed_text([(sg, text + sym) for sg, _, text, sym in entries]) + ")"
+
+    return _signed_text(
+        [(sign, text + "@".join(slot_text(*slot) for slot in slots)) for sign, _, text, slots in terms]
+    )
+
+
+@settings(deadline=None, max_examples=200)
+@given(_grouped_expression())
+def test_grouped_expressions_parse_render_and_collect(terms):
+    text = _expression_text(terms)
+    e = parse(text)
+    assert e == TensorExpr(
+        tuple(
+            Term(
+                sign * mag,
+                tuple(SlotVector([(sym, sg * m) for sg, m, _, sym in entries]) for entries, _ in slots),
+            )
+            for sign, mag, _, slots in terms
+        )
+    )
+    rendered = render(e)
+    assert parse(rendered) == e
+    assert render(parse(rendered)) == rendered
+    expected = {}
+    for sign, mag, _, slots in terms:
+        for picks in product(*[entries for entries, _ in slots]):
+            key = tuple(sym for _, _, _, sym in picks)
+            expected[key] = expected.get(key, 0) + sign * mag * math.prod(sg * m for sg, m, _, _ in picks)
+    tensor, basis = to_coefficient_tensor(parse(text))
+    got = dict(zip(product(*basis.per_slot), tensor.coeffs))
+    assert {k: c for k, c in got.items() if c} == {k: c for k, c in expected.items() if c}
 
 
 # -- exact factoring ---------------------------------------------------------------
