@@ -308,14 +308,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Built once per process: building the tree costs more than most commands.
+# Parsing keeps no state between calls, so ``main`` may be called repeatedly.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on bad usage; 0 for --help
         return 0 if exc.code in (0, None) else 1
     if getattr(args, "command", None) is None:
-        parser.print_usage(sys.stderr)
+        _PARSER.print_usage(sys.stderr)
         return 1
     try:
         return args.func(args)

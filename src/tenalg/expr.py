@@ -199,6 +199,11 @@ def _tokenize(text: str):
     return tokens
 
 
+def _found(tok) -> str:
+    """A token as an error message names it."""
+    return "end of input" if tok[0] == "end" else repr(tok[1])
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -216,7 +221,7 @@ class _Parser:
     def expect(self, kind: str):
         tok = self.next()
         if tok[0] != kind:
-            raise ExprSyntaxError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+            raise ExprSyntaxError(f"expected {kind!r}, found {_found(tok)}", tok[2])
         return tok
 
     def parse_expression(self) -> List[Term]:
@@ -265,7 +270,7 @@ class _Parser:
             sv = SlotVector(self.parse_signed_sum(self.parse_combo_entry))
             self.expect(")")
             return sv
-        raise ExprSyntaxError(f"expected a symbol or '(', found {tok[1]!r}", tok[2])
+        raise ExprSyntaxError(f"expected a symbol or '(', found {_found(tok)}", tok[2])
 
     def parse_combo_entry(self, sign: Fraction):
         coeff = self.parse_coefficient(sign)
@@ -609,9 +614,9 @@ def factor_heuristic_higher_order(
     within ``tol`` (max-component residual) the factored expression is
     returned with status ``"verified-upper-bound"``; this is an upper bound
     on the rank, never a minimality claim.  If no candidate rank fits, the
-    input is returned unchanged with status ``"failed"``.  Restart ``i``
-    draws from ``random.Random(seed + i)``, so results are reproducible no
-    matter how restarts are scheduled.
+    input's contributing terms are returned unchanged with status
+    ``"failed"``.  Restart ``i`` draws from ``random.Random(seed + i)``, so
+    results are reproducible no matter how restarts are scheduled.
     """
     if e.terms and e.order < 3:
         raise ValueError(
@@ -622,6 +627,12 @@ def factor_heuristic_higher_order(
         raise ValueError("heuristic factoring works over the real or complex field")
     if max_rank < 1:
         raise ValueError("max_rank must be >= 1")
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    if sweeps < 1:
+        raise ValueError("sweeps must be >= 1")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     if not _live_terms(e.terms):
         return TensorExpr((), field), "verified-upper-bound"
     tensor, basis = to_coefficient_tensor(e)
@@ -634,7 +645,7 @@ def factor_heuristic_higher_order(
             _, terms = _als_fit(tensor.shape, target, r, field, rng, sweeps, tol)
             if terms is not None:
                 return _factored(basis, terms, field), "verified-upper-bound"
-    return e, "failed"
+    return TensorExpr(_live_terms(e.terms), e.field), "failed"
 
 
 def term_factor_vectors(e: TensorExpr, basis: Optional[SlotBasis] = None):

@@ -140,14 +140,25 @@ def to_json(field: str, value):
 
 
 def from_json(field: str, obj):
-    """Decode one scalar from the JSON tensor formats."""
+    """Decode one scalar from the JSON tensor formats.
+
+    A rational is a JSON integer or any string ``Fraction`` accepts.  A plain
+    ASCII ``p``, ``-p``, ``p/q`` or ``-p/q``, which is what :func:`to_json`
+    writes, is split into ints directly, skipping ``Fraction``'s regex; every
+    other string goes through ``Fraction``, so the accepted set, the values
+    and the error messages are those of ``Fraction(str)``.
+    """
     if field == RATIONAL:
-        if isinstance(obj, (str, int)) and not isinstance(obj, bool):
-            try:
-                return Fraction(obj)
-            except ZeroDivisionError:
-                raise ValueError(f"rational scalar {obj!r} has a zero denominator") from None
-        raise ValueError(f"rational scalars must be 'p/q' strings, got {obj!r}")
+        if isinstance(obj, bool) or not isinstance(obj, (str, int)):
+            raise ValueError(f"rational scalars must be 'p/q' strings, got {obj!r}")
+        try:
+            if type(obj) is str and obj.isascii():
+                num, slash, den = obj.partition("/")
+                if num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+                    return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+            return Fraction(obj)
+        except ZeroDivisionError:
+            raise ValueError(f"rational scalar {obj!r} has a zero denominator") from None
     if field == REAL:
         if isinstance(obj, bool) or not isinstance(obj, (int, float)):
             raise ValueError(f"real scalars must be numbers, got {obj!r}")

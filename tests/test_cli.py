@@ -1,11 +1,22 @@
+import io
 import json
+import os
+import random
+import subprocess
+import sys
 import time
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from tenalg import algebra
 from tenalg.cli import main
+
+from test_acceptance import _golden_commands
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 B_JSON = '{"shape": [2, 2], "field": "rational", "coeffs": ["1", "0", "1", "1"]}'
 A_JSON = '{"shape": [2, 2], "field": "rational", "coeffs": ["3", "4", "6", "8"]}'
@@ -126,6 +137,36 @@ def test_factor_greedy_real_field_is_user_error(capsys):
     )
     assert code == 1 and out == ""
     assert err == "error: greedy factoring works over the rational field\n"
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (["--restarts", "0"], "error: restarts must be >= 1\n"),
+        (["--sweeps", "0"], "error: sweeps must be >= 1\n"),
+        (["--tol-als", "nan"], "error: tol must be a finite number >= 0, got nan\n"),
+        (["--tol-als", "-1"], "error: tol must be a finite number >= 0, got -1.0\n"),
+    ],
+    ids=["restarts-0", "sweeps-0", "tol-nan", "tol-negative"],
+)
+def test_factor_als_options_that_can_never_fit_are_user_errors(capsys, option, message):
+    code, out, err = run(capsys, "factor", "u1@v1@w1", "--method", "als", *option)
+    assert (code, out, err) == (1, "", message)
+
+
+def test_factor_als_failure_prints_only_contributing_terms(capsys):
+    z = "u1@v1@w1 + u1@v2@w2 - u2@v1@w2 + u2@v2@w1"
+    options = ["--method", "als", "--max-rank", "2", "--restarts", "2", "--sweeps", "50"]
+    code, out, _ = run(capsys, "factor", "(a1 - a1)@b1@c1 + " + z, *options)
+    assert code == 0 and out == z + "\nterms: 4\nstatus: failed\n"
+    # the printed expression is valid input
+    assert run(capsys, "factor", z, *options) == (0, out, "")
+
+
+def test_expand_error_names_the_end_of_input(capsys):
+    code, out, err = run(capsys, "expand", "0")
+    assert code == 1 and out == ""
+    assert err == "error: expected a symbol or '(', found end of input (at position 1)\n"
 
 
 def test_factor_syntax_error_exit_code(capsys):
@@ -375,6 +416,32 @@ def test_repeat_runs_identical(tmp_path, capsys):
         _, out, _ = run(capsys, "decompose", str(f), "--method", "rref")
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def test_repeated_main_matches_fresh_processes(tmp_path, monkeypatch):
+    # help text wraps to the terminal width: pin it for both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = _golden_commands(tmp_path) + [
+        ["frobnicate"],
+        ["sig", str(tmp_path / "path.csv")],
+        ["rank", str(tmp_path / "missing.json")],
+        ["--help"],
+        ["sig", "--help"],
+        ["--version"],
+    ]
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    fresh = {}
+    for argv in argvs:
+        proc = subprocess.run([sys.executable, "-m", "tenalg", *argv], capture_output=True, env=env)
+        fresh[tuple(argv)] = (proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8"))
+    assert {code for code, _, _ in fresh.values()} == {0, 1}
+    calls = argvs * 3
+    random.Random(7).shuffle(calls)
+    for argv in calls:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(list(argv))
+        assert (code, out.getvalue(), err.getvalue()) == fresh[tuple(argv)], argv
 
 
 def test_format_closure_sig_feeds_algebra(tmp_path, capsys):

@@ -101,6 +101,22 @@ def test_parse_syntax_error_has_position():
         parse("$a@b")
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("0", "expected a symbol or '(', found end of input (at position 1)"),
+        ("a1@", "expected a symbol or '(', found end of input (at position 3)"),
+        ("(a1", "expected ')', found end of input (at position 3)"),
+        ("(a1 + 2", "expected 'ident', found end of input (at position 7)"),
+        ("(a1 + 2)", "expected 'ident', found ')' (at position 7)"),
+    ],
+)
+def test_parse_error_names_the_end_of_input(text, expected):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(text)
+    assert str(err.value) == expected
+
+
 def test_parse_coefficient_forms():
     for text in ("2 a1@b1", "2*a1@b1", "2a1@b1"):
         e = parse(text)
@@ -392,6 +408,60 @@ def test_heuristic_failure_is_a_status():
     f, status = factor_heuristic_higher_order(e, 1, REAL, restarts=3, sweeps=100)
     assert status == "failed"
     assert f == e
+
+
+# the Z expression plus a term whose first slot sums to zero
+DEAD_Z_EXPR = "(a1 - a1)@b1@c1 + " + Z_EXPR
+
+
+def test_heuristic_failure_drops_dead_terms():
+    f, status = factor_heuristic_higher_order(parse(DEAD_Z_EXPR), 2, REAL, restarts=2, sweeps=50)
+    assert status == "failed"
+    assert f == parse(Z_EXPR) and len(f.terms) == 4
+
+
+@pytest.mark.parametrize(
+    "factor, text",
+    [
+        (factor_exact_order2, X0A),
+        (factor_exact_order2, E),
+        (lambda e: factor_greedy(e, "left"), X0B),
+        (lambda e: factor_greedy(e, "right"), "(a1 - a1)@b1 + " + X0B),
+        (lambda e: factor_heuristic_higher_order(e, 2, REAL, restarts=2, sweeps=50), DEAD_Z_EXPR),
+    ],
+    ids=["exact", "exact-polynomial", "greedy-left", "greedy-right-dead-term", "als-failed"],
+)
+def test_factored_rational_output_parses_back(factor, text):
+    # every route whose result is rational: exact and greedy (no status) and a failed ALS fit
+    f = factor(parse(text))
+    f = f[0] if isinstance(f, tuple) else f
+    assert f.field == RATIONAL
+    assert parse(render(f)) == f and expand(f) == expand(parse(text))
+
+
+def test_verified_als_output_has_no_zero_slot():
+    # a verified fit is float-valued, which the expression grammar does not
+    # read back; its terms still never print a zero slot
+    f, status = factor_heuristic_higher_order(parse("(a1 - a1)@b1@c1 + u1@v1@w1"), 1, REAL)
+    assert status == "verified-upper-bound" and len(f.terms) == 1
+    assert not any(sv.is_zero() for t in f.terms for sv in t.slots)
+    assert "(0)" not in render(f)
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        ({"restarts": 0}, "restarts must be >= 1"),
+        ({"sweeps": 0}, "sweeps must be >= 1"),
+        ({"tol": math.nan}, "tol must be a finite number >= 0"),
+        ({"tol": math.inf}, "tol must be a finite number >= 0"),
+        ({"tol": -1e-8}, "tol must be a finite number >= 0"),
+    ],
+    ids=["restarts-0", "sweeps-0", "tol-nan", "tol-inf", "tol-negative"],
+)
+def test_heuristic_rejects_options_that_can_never_fit(options, message):
+    with pytest.raises(ValueError, match=message):
+        factor_heuristic_higher_order(parse("u1@v1@w1"), 1, REAL, **options)
 
 
 def test_heuristic_field_monotonicity_on_z():
