@@ -1,21 +1,23 @@
 """The level-N truncated tensor algebra over R^d (or C^d).
 
-An element is stored as one homogeneous tensor per level: level ``n`` has
-shape ``(d,) * n``, level 0 is a scalar.  The product is the truncated
-concatenation product, computed levelwise by the convolution formula
+An element is stored level by level: level ``n`` is one flat row-major list
+of ``d ** n`` coefficients, level 0 a single scalar.  ``level(n)`` builds a
+:class:`DenseTensor` view of shape ``(d,) * n`` on request.  The product is
+the truncated concatenation product, computed levelwise by the convolution
+formula
 
     w_n = sum_{k=0}^{n} u_k (x) v_{n-k}
 
 with everything above level N discarded.  Basis elements of level ``n`` are
 indexed by words: length-``n`` sequences of letters in ``1..d``, enumerated
-lexicographically, which coincides with the row-major layout of the level
-tensors.
+lexicographically, which coincides with the row-major layout of the levels.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -73,18 +75,19 @@ def truncated_dim(d: int, N: int) -> int:
     return (d ** (N + 1) - 1) // (d - 1)
 
 
-# Most list slots one element may take where unit/basis_word,
-# oracle_signature and tt_from_json allocate it: its truncated_dim(d, N)
-# coefficients plus the N (N + 1) / 2 entries of the level shapes (d,) * n,
-# which dominate when d == 1.  A larger count is refused before any list is
-# built.  A slot costs 8 bytes, and a distinct float 24 more, so an element
-# at the budget takes about 32 MB and a product needs several.  Every test
-# and benchmark shape is at most truncated_dim(4, 5) = 1365 coefficients.
+# Most coefficients one element may hold where unit/basis_word, the signatures
+# and tt_from_json allocate it: truncated_dim(d, N), plus N (N + 1) / 2, which
+# matters only at d == 1, where a product or an inverse of N + 1 coefficients
+# makes (N + 1) (N + 2) / 2 multiply-adds.  A larger count is refused before any
+# list is built.  A slot costs 8 bytes, and a distinct float 24 more, so an
+# element at the budget takes about 32 MB and a product needs several.  Every
+# test and benchmark shape is at most truncated_dim(4, 5) = 1365 coefficients.
 MAX_COEFFS = 1 << 20
 
 
 def _check_budget(d: int, N: int) -> None:
-    """Raise :class:`ValueError` if an element of the algebra exceeds MAX_COEFFS slots."""
+    """Raise :class:`ValueError` if an element of the algebra exceeds MAX_COEFFS."""
+    d, N = _check_dims(d, N)
     # for d >= 2 level 64 alone is over budget; the clamp keeps an absurd N
     # from building a huge power in truncated_dim
     if truncated_dim(d, N if d == 1 else min(N, 64)) + N * (N + 1) // 2 > MAX_COEFFS:
@@ -94,17 +97,24 @@ def _check_budget(d: int, N: int) -> None:
         )
 
 
-class TruncatedTensor:
-    """Element of the level-N truncated tensor algebra, as a list of levels."""
+def _counted(N: int, levels) -> list:
+    """``levels`` as a list, refused unless it holds N + 1 levels."""
+    levels = list(levels)
+    if len(levels) != N + 1:
+        raise ValueError(f"need {N + 1} levels for truncation level {N}, got {len(levels)}")
+    return levels
 
-    __slots__ = ("d", "N", "field", "levels")
+
+class TruncatedTensor:
+    """Element of the level-N truncated tensor algebra: ``flats[n]`` is level
+    ``n`` as a flat row-major list of ``d ** n`` coefficients."""
+
+    __slots__ = ("d", "N", "field", "flats")
 
     def __init__(self, d: int, N: int, levels: Sequence[DenseTensor], field: str = RATIONAL):
         d, N = _check_dims(d, N)
         scalars.check_field(field)
-        levels = list(levels)
-        if len(levels) != N + 1:
-            raise ValueError(f"need {N + 1} levels for truncation level {N}, got {len(levels)}")
+        levels = _counted(N, levels)
         for n, lvl in enumerate(levels):
             if lvl.shape != (d,) * n:
                 raise ValueError(f"level {n} must have shape {(d,) * n}, got {lvl.shape}")
@@ -112,17 +122,17 @@ class TruncatedTensor:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "flats", [lvl.coeffs for lvl in levels])
 
     @classmethod
-    def _trusted(cls, d: int, N: int, levels: list, field: str) -> "TruncatedTensor":
-        """Wrap levels the caller guarantees: N + 1 tensors of ``field``,
-        level n of shape ``(d,) * n``."""
+    def _trusted(cls, d: int, N: int, flats: list, field: str) -> "TruncatedTensor":
+        """Wrap levels the caller guarantees: N + 1 flat lists, list n holding
+        d ** n coefficients of ``field``'s type."""
         x = object.__new__(cls)
         object.__setattr__(x, "d", d)
         object.__setattr__(x, "N", N)
         object.__setattr__(x, "field", field)
-        object.__setattr__(x, "levels", levels)
+        object.__setattr__(x, "flats", flats)
         return x
 
     def __setattr__(self, name, value):
@@ -130,21 +140,30 @@ class TruncatedTensor:
 
     @classmethod
     def from_flat_levels(cls, d, N, flat_levels, field: str = RATIONAL) -> "TruncatedTensor":
-        """Build from one flat row-major coefficient list per level."""
-        levels = [DenseTensor((d,) * n, flat, field) for n, flat in enumerate(flat_levels)]
-        return cls(d, N, levels, field)
+        """Build from one flat row-major list per level, checked by DenseTensor."""
+        d, N = _check_dims(d, N)
+        levels = [DenseTensor((d,) * n, f, field) for n, f in enumerate(_counted(N, flat_levels))]
+        return cls._trusted(d, N, [lvl.coeffs for lvl in levels], field)
 
     def level(self, n: int) -> DenseTensor:
-        return self.levels[n]
+        """Level ``n`` as a :class:`DenseTensor` view of its flat list."""
+        if not 0 <= n <= self.N:
+            raise IndexError(f"level {n} out of range 0..{self.N}")
+        return DenseTensor._trusted((self.d,) * n, self.flats[n], self.field)
+
+    @property
+    def levels(self) -> list:
+        """Every level as a :class:`DenseTensor` view, built on each access."""
+        return [self.level(n) for n in range(self.N + 1)]
 
     def scalar_part(self):
-        return self.levels[0].coeffs[0]
+        return self.flats[0][0]
 
     def word_coefficient(self, word: Sequence[int]):
         word = tuple(word)
         if len(word) > self.N:
             raise IndexError(f"word of length {len(word)} exceeds truncation level {self.N}")
-        return self.levels[len(word)].coeffs[word_to_index(word, self.d)]
+        return self.flats[len(word)][word_to_index(word, self.d)]
 
     def degree(self) -> int:
         """Highest non-zero level; 0 for the zero element.
@@ -153,7 +172,7 @@ class TruncatedTensor:
         elements this is the natural extension used by order bookkeeping.
         """
         for n in range(self.N, 0, -1):
-            if not self.levels[n].is_zero():
+            if any(self.flats[n]):
                 return n
         return 0
 
@@ -166,23 +185,18 @@ class TruncatedTensor:
 
     def __add__(self, other: "TruncatedTensor") -> "TruncatedTensor":
         self._compatible(other)
-        return TruncatedTensor._trusted(
-            self.d, self.N, [a + b for a, b in zip(self.levels, other.levels)], self.field
-        )
+        flats = [[a + b for a, b in zip(u, v)] for u, v in zip(self.flats, other.flats)]
+        return TruncatedTensor._trusted(self.d, self.N, flats, self.field)
 
     def __sub__(self, other: "TruncatedTensor") -> "TruncatedTensor":
         self._compatible(other)
-        return TruncatedTensor._trusted(
-            self.d, self.N, [a - b for a, b in zip(self.levels, other.levels)], self.field
-        )
+        flats = [[a - b for a, b in zip(u, v)] for u, v in zip(self.flats, other.flats)]
+        return TruncatedTensor._trusted(self.d, self.N, flats, self.field)
 
     def scale(self, lam) -> "TruncatedTensor":
         lam = scalars.coerce(self.field, lam)
-        levels = [
-            DenseTensor._trusted(lvl.shape, [lam * c for c in lvl.coeffs], self.field)
-            for lvl in self.levels
-        ]
-        return TruncatedTensor._trusted(self.d, self.N, levels, self.field)
+        flats = [[lam * c for c in flat] for flat in self.flats]
+        return TruncatedTensor._trusted(self.d, self.N, flats, self.field)
 
     def __mul__(self, other: "TruncatedTensor") -> "TruncatedTensor":
         return concat_product(self, other)
@@ -192,7 +206,9 @@ class TruncatedTensor:
             return NotImplemented
         if (self.d, self.N, self.field) != (other.d, other.N, other.field):
             return False
-        return all(a == b for a, b in zip(self.levels, other.levels))
+        flat = itertools.chain.from_iterable
+        pairs = zip(flat(self.flats), flat(other.flats))
+        return all(scalars.close(self.field, a, b) for a, b in pairs)
 
     __hash__ = None
 
@@ -217,7 +233,7 @@ def basis_word(d: int, N: int, word: Sequence[int], field: str = RATIONAL) -> Tr
         raise IndexError(f"word of length {len(word)} exceeds truncation level {N}")
     flats = [[zero] * (d ** n) for n in range(N + 1)]
     flats[len(word)][word_to_index(word, d)] = scalars.one(field)
-    return _wrap(d, N, flats, field)
+    return TruncatedTensor._trusted(d, N, flats, field)
 
 
 def _accumulate(out: list, a: list, b: list) -> None:
@@ -234,17 +250,8 @@ def _accumulate(out: list, a: list, b: list) -> None:
 def _integer_levels(x: TruncatedTensor):
     """``(D, X)``: D the lcm of every denominator of rational ``x``, X the
     flat levels of ``D * x`` over ints."""
-    D, flat = scalars.integer_row([c for lvl in x.levels for c in lvl.coeffs])
-    X, start = [], 0
-    for n in range(x.N + 1):
-        X.append(flat[start : start + x.d ** n])
-        start += x.d ** n
-    return D, X
-
-
-def _wrap(d: int, N: int, flats: list, field: str) -> TruncatedTensor:
-    levels = [DenseTensor._trusted((d,) * n, flat, field) for n, flat in enumerate(flats)]
-    return TruncatedTensor._trusted(d, N, levels, field)
+    D = math.lcm(*(c.denominator for flat in x.flats for c in flat))
+    return D, [[c.numerator * (D // c.denominator) for c in flat] for flat in x.flats]
 
 
 def concat_product(x: TruncatedTensor, y: TruncatedTensor) -> TruncatedTensor:
@@ -261,9 +268,7 @@ def concat_product(x: TruncatedTensor, y: TruncatedTensor) -> TruncatedTensor:
         Dy, ys = _integer_levels(y)
         zero = 0
     else:
-        xs = [lvl.coeffs for lvl in x.levels]
-        ys = [lvl.coeffs for lvl in y.levels]
-        zero = scalars.zero(field)
+        xs, ys, zero = x.flats, y.flats, scalars.zero(field)
     out_levels = []
     for n in range(N + 1):
         out = [zero] * (d ** n)
@@ -273,7 +278,7 @@ def concat_product(x: TruncatedTensor, y: TruncatedTensor) -> TruncatedTensor:
     if field == RATIONAL:
         den = Dx * Dy
         out_levels = [[Fraction(v, den) for v in out] for out in out_levels]
-    return _wrap(d, N, out_levels, field)
+    return TruncatedTensor._trusted(d, N, out_levels, field)
 
 
 def inverse(x: TruncatedTensor) -> TruncatedTensor:
@@ -312,7 +317,7 @@ def inverse(x: TruncatedTensor) -> TruncatedTensor:
             p *= A
         ys, zero, scale = [[1]], 0, None
     else:
-        xs = [lvl.coeffs for lvl in x.levels]
+        xs = x.flats
         inv_a = scalars.one(field) / x.scalar_part()
         ys, zero, scale = [[inv_a]], scalars.zero(field), -inv_a
     for n in range(1, N + 1):
@@ -323,14 +328,14 @@ def inverse(x: TruncatedTensor) -> TruncatedTensor:
     if field == RATIONAL:
         dens = [A ** (n + 1) for n in range(N + 1)]
         ys = [[Fraction(D * v, den) for v in y] for y, den in zip(ys, dens)]
-    return _wrap(d, N, ys, field)
+    return TruncatedTensor._trusted(d, N, ys, field)
 
 
 def project(x: TruncatedTensor, M: int) -> TruncatedTensor:
     """Keep levels 0..M.  A product morphism: commutes with multiplication."""
     if not 0 <= M <= x.N:
         raise ValueError(f"projection level {M} out of range 0..{x.N}")
-    return TruncatedTensor._trusted(x.d, M, x.levels[: M + 1], x.field)
+    return TruncatedTensor._trusted(x.d, M, x.flats[: M + 1], x.field)
 
 
 # -- JSON format -----------------------------------------------------------
@@ -339,9 +344,9 @@ def project(x: TruncatedTensor, M: int) -> TruncatedTensor:
 #    "levels": [["1"], ["0", "0"], ["0", "0", "0", "0"]]}
 #
 # level n is a flat row-major list of d^n scalars, encoded per field as in
-# the dense tensor format.  "d" and "N" must be JSON integers, and (d, N) is
-# held to MAX_COEFFS before any level is decoded.  Unknown extra keys are
-# ignored on input.
+# the dense tensor format.  "d" and "N" must be JSON integers; (d, N) is held
+# to MAX_COEFFS and the level count to N + 1 before any level is decoded.
+# Unknown extra keys are ignored on input.
 
 
 def tt_to_json(x: TruncatedTensor) -> dict:
@@ -349,9 +354,7 @@ def tt_to_json(x: TruncatedTensor) -> dict:
         "d": x.d,
         "N": x.N,
         "field": x.field,
-        "levels": [
-            [scalars.to_json(x.field, c) for c in lvl.coeffs] for lvl in x.levels
-        ],
+        "levels": [[scalars.to_json(x.field, c) for c in flat] for flat in x.flats],
     }
 
 
@@ -362,7 +365,7 @@ def tt_from_json(obj: dict) -> TruncatedTensor:
     d, N = scalars.json_int(obj["d"], "'d'"), scalars.json_int(obj["N"], "'N'")
     _check_budget(d, N)
     flat_levels = [
-        [scalars.from_json(field, c) for c in lvl] for lvl in obj["levels"]
+        [scalars.from_json(field, c) for c in lvl] for lvl in _counted(N, obj["levels"])
     ]
     scalars.check_finite(field, itertools.chain.from_iterable(flat_levels))
     return TruncatedTensor.from_flat_levels(d, N, flat_levels, field)

@@ -299,8 +299,15 @@ def _validate(terms: Sequence[Term]):
 
 
 def parse(text: str) -> TensorExpr:
-    """Parse expression text into a :class:`TensorExpr` (rational field)."""
-    terms = _Parser(text).parse_expression()
+    """Parse expression text into a :class:`TensorExpr` (rational field).
+
+    A lone ``0``, as :func:`render` prints the zero expression, parses to the
+    expression with no terms.
+    """
+    parser = _Parser(text)
+    if [tok[:2] for tok in parser.tokens] == [("num", 0), ("end", None)]:
+        return TensorExpr((), RATIONAL)
+    terms = parser.parse_expression()
     _validate(terms)
     return TensorExpr(tuple(terms), RATIONAL)
 
@@ -349,7 +356,10 @@ def _render_slot(field: str, sv: SlotVector) -> str:
 
 
 def render(e: TensorExpr) -> str:
-    """Canonical textual form; inverse of :func:`parse` on canonical input."""
+    """Canonical textual form: :func:`parse` reads it back when the field is
+    rational, the zero expression ``0`` included.  Real and complex
+    coefficients print as decimals, which the expression grammar does not
+    read."""
     if not e.terms:
         return "0"
     return _signed_join(

@@ -102,15 +102,14 @@ def segment_signature(increment: Sequence[float], N: int, interval=(0.0, 1.0)) -
 
     Level n is increment^(x)n / n!.  A zero increment gives the unit.
     """
-    if N < 0:
-        raise ValueError("truncation level must be >= 0")
     inc = DenseTensor.vector([float(c) for c in increment], REAL)
     d = inc.shape[0]
-    levels = [DenseTensor._trusted((), [1.0], REAL)]
+    _check_budget(d, N)
+    flats = [[1.0]]
     for n in range(1, N + 1):
-        nxt = tensor_product(levels[-1], inc)
-        levels.append(DenseTensor._trusted(nxt.shape, [c / n for c in nxt.coeffs], REAL))
-    value = TruncatedTensor._trusted(d, N, levels, REAL)
+        nxt = tensor_product(DenseTensor._trusted((d,) * (n - 1), flats[-1], REAL), inc)
+        flats.append([c / n for c in nxt.coeffs])
+    value = TruncatedTensor._trusted(d, N, flats, REAL)
     return Signature(value, (float(interval[0]), float(interval[1])))
 
 
@@ -157,14 +156,12 @@ def oracle_signature(
     summation order is fixed (cells left to right, levels top-down within a
     cell) so repeated runs are bit-identical.
     """
-    if N < 0:
-        raise ValueError("truncation level must be >= 0")
+    d = path.d
+    _check_budget(d, N)
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if not 0.0 <= s <= t <= 1.0:
         raise ValueError(f"need 0 <= s <= t <= 1, got s={s}, t={t}")
-    d = path.d
-    _check_budget(d, N)
     levels = [[0.0] * (d ** n) for n in range(N + 1)]
     levels[0][0] = 1.0
     h = (t - s) / steps
@@ -184,7 +181,6 @@ def oracle_signature(
                 base = i * d
                 for c in range(d):
                     dst[base + c] += sv * dx[c]
-    levels = [DenseTensor._trusted((d,) * n, flat, REAL) for n, flat in enumerate(levels)]
     return Signature(TruncatedTensor._trusted(d, N, levels, REAL), (float(s), float(t)))
 
 

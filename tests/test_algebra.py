@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -20,7 +21,7 @@ from tenalg import (
 )
 from tenalg.algebra import dump_tt, load_tt, tt_from_json
 from tenalg.scalars import COMPLEX, REAL
-from tenalg.signature import PiecewiseLinearPath, oracle_signature
+from tenalg.signature import PiecewiseLinearPath, oracle_signature, segment_signature
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
@@ -53,9 +54,9 @@ def element_pairs(draw, count=2, nonzero_scalar=False):
 # -- unit ----------------------------------------------------------------------
 
 
-# (1, 2000) holds only 2001 coefficients, but its level shapes (1,) * n hold
-# two million entries
-@pytest.mark.parametrize("d, N", [(3, 20), (2, 10**9), (1, 10**9), (1, 2000)])
+# (1, 2000) holds only 2001 coefficients, but one product of two such
+# elements makes two million multiply-adds
+@pytest.mark.parametrize("d, N", [(3, 20), (4, 15), (2, 10**9), (1, 10**9), (1, 2000)])
 def test_budget_refuses_oversized_algebras_before_allocating(address_space_cap, d, N):
     with pytest.raises(ValueError, match="budget"):
         unit(d, N)
@@ -64,6 +65,19 @@ def test_budget_refuses_oversized_algebras_before_allocating(address_space_cap, 
     path = PiecewiseLinearPath([[0.0] * d, [1.0] * d])
     with pytest.raises(ValueError, match="budget"):
         oracle_signature(path, N, steps=1)
+    with pytest.raises(ValueError, match="budget"):
+        segment_signature([1.0] * d, N)
+
+
+def test_d1_element_holds_one_flat_list_per_level():
+    # a shape tuple (1,) * n per level would take 8 MB here
+    tracemalloc.start()
+    try:
+        x = unit(1, 1400)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert x.N == 1400 and held < 1 << 20
 
 
 def test_unit_shape():
@@ -72,6 +86,14 @@ def test_unit_shape():
     assert e.level(1) == DenseTensor.zeros((2,))
     assert e.level(2) == DenseTensor.zeros((2, 2))
     assert unit(1, 0).levels[0] == DenseTensor.scalar(1)
+
+
+def test_level_index_out_of_range():
+    x = unit(2, 2)
+    assert [x.level(n).shape for n in range(3)] == [(), (2,), (2, 2)]
+    for n in (-1, -3, 3):
+        with pytest.raises(IndexError, match="out of range 0..2"):
+            x.level(n)
 
 
 @pytest.mark.parametrize(

@@ -164,7 +164,7 @@ def test_factor_als_failure_prints_only_contributing_terms(capsys):
 
 
 def test_expand_error_names_the_end_of_input(capsys):
-    code, out, err = run(capsys, "expand", "0")
+    code, out, err = run(capsys, "expand", "2")
     assert code == 1 and out == ""
     assert err == "error: expected a symbol or '(', found end of input (at position 1)\n"
 
@@ -172,6 +172,15 @@ def test_expand_error_names_the_end_of_input(capsys):
 def test_factor_syntax_error_exit_code(capsys):
     code, _, err = run(capsys, "factor", "a1@@b1")
     assert code == 1 and "error:" in err
+
+
+def test_zero_expression_output_feeds_back(capsys):
+    code, out, _ = run(capsys, "factor", "a1@b1 - a1@b1")
+    assert code == 0 and out == "0\nterms: 0\n"
+    code, again, err = run(capsys, "factor", out.splitlines()[0])
+    assert code == 0 and again == out and err == ""
+    code, out, _ = run(capsys, "expand", "0")
+    assert code == 0 and out == "0\n"
 
 
 def test_expand(capsys):
@@ -327,8 +336,8 @@ def test_coefficient_budget_refuses_before_allocating(tmp_path, capsys, address_
 
 
 def test_algebra_operand_budget_refused_before_levels_are_decoded(tmp_path, capsys):
-    # 14 KB on disk; its 2000 level shapes (1,) * n alone would hold two
-    # million entries
+    # 14 KB on disk; its (N + 1) (N + 2) / 2 multiply-adds per product are
+    # over the budget
     f = tmp_path / "long.json"
     levels = json.dumps([["1"]] + [["0"]] * 2000)
     f.write_text(f'{{"d": 1, "N": 2000, "field": "rational", "levels": {levels}}}', encoding="utf-8")
@@ -340,6 +349,23 @@ def test_algebra_operand_budget_refused_before_levels_are_decoded(tmp_path, caps
         tracemalloc.stop()
     assert code == 1 and out == ""
     assert err.startswith("error:") and "budget" in err
+    assert peak < 1 << 20
+
+
+def test_algebra_operand_level_count_refused_before_levels_are_built(tmp_path, capsys):
+    # 42 KB on disk: a level-1 operand with 6001 levels, refused before a
+    # level is built from its flat list
+    f = tmp_path / "long.json"
+    levels = json.dumps([["1"]] + [["0"]] * 6000)
+    f.write_text(f'{{"d": 1, "N": 1, "field": "rational", "levels": {levels}}}', encoding="utf-8")
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "algebra", "inv", str(f))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert err == "error: need 2 levels for truncation level 1, got 6001\n"
     assert peak < 1 << 20
 
 

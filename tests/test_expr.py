@@ -104,7 +104,7 @@ def test_parse_syntax_error_has_position():
 @pytest.mark.parametrize(
     "text, expected",
     [
-        ("0", "expected a symbol or '(', found end of input (at position 1)"),
+        ("2", "expected a symbol or '(', found end of input (at position 1)"),
         ("a1@", "expected a symbol or '(', found end of input (at position 3)"),
         ("(a1", "expected ')', found end of input (at position 3)"),
         ("(a1 + 2", "expected 'ident', found end of input (at position 7)"),
@@ -188,6 +188,8 @@ def test_render_parse_round_trip_canonical():
     for _ in range(25):
         e = expand(parse(random_order2_expr(rng)))
         assert expand(parse(render(e))) == e
+    zero = expand(parse("a1@b1 - a1@b1"))
+    assert render(zero) == "0" and parse(render(zero)) == zero
 
 
 # A generated expression is a list of terms; a term is (sign, magnitude, written

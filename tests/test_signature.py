@@ -170,6 +170,20 @@ def test_signatures_reject_negative_depth(route):
         route(random_path(1), -1)
 
 
+@pytest.mark.parametrize("N", [-1, 2.0, True, "2"])
+def test_segment_signature_refuses_a_depth_that_is_not_a_size(N):
+    with pytest.raises(ValueError):
+        segment_signature([1.0, 2.0], N)
+
+
+def test_signature_level_out_of_range():
+    sig = path_signature(random_path(1), 2)
+    assert sig.level(2).shape == (2, 2)
+    for n in (-1, 3):
+        with pytest.raises(IndexError):
+            sig.level(n)
+
+
 # -- CSV ---------------------------------------------------------------------------
 
 
