@@ -82,6 +82,7 @@ def truncated_dim(d: int, N: int) -> int:
 # list is built.  A slot costs 8 bytes, and a distinct float 24 more, so an
 # element at the budget takes about 32 MB and a product needs several.  Every
 # test and benchmark shape is at most truncated_dim(4, 5) = 1365 coefficients.
+# expr.to_coefficient_tensor holds an expression's coefficient tensor to it too.
 MAX_COEFFS = 1 << 20
 
 
@@ -213,10 +214,7 @@ class TruncatedTensor:
     __hash__ = None
 
     def __repr__(self) -> str:
-        return (
-            f"TruncatedTensor(d={self.d}, N={self.N}, field={self.field!r}, "
-            f"{[lvl.tolists() for lvl in self.levels]!r})"
-        )
+        return f"TruncatedTensor(d={self.d}, N={self.N}, field={self.field!r}, {self.flats!r})"
 
 
 def unit(d: int, N: int, field: str = RATIONAL) -> TruncatedTensor:
@@ -364,9 +362,10 @@ def tt_from_json(obj: dict) -> TruncatedTensor:
     field = scalars.check_field(obj.get("field", RATIONAL))
     d, N = scalars.json_int(obj["d"], "'d'"), scalars.json_int(obj["N"], "'N'")
     _check_budget(d, N)
-    flat_levels = [
-        [scalars.from_json(field, c) for c in lvl] for lvl in _counted(N, obj["levels"])
-    ]
+    levels = obj["levels"]
+    if type(levels) is not list or not all(type(lvl) is list for lvl in levels):
+        raise ValueError("'levels' must be a JSON array of JSON arrays")
+    flat_levels = [[scalars.from_json(field, c) for c in lvl] for lvl in _counted(N, levels)]
     scalars.check_finite(field, itertools.chain.from_iterable(flat_levels))
     return TruncatedTensor.from_flat_levels(d, N, flat_levels, field)
 

@@ -162,15 +162,11 @@ class DenseTensor:
         """Nested-list view (scalars at order 0, lists of lists beyond)."""
         if self.order == 0:
             return self.coeffs[0]
-
-        def build(level: int, base: int, stride: int):
-            d = self.shape[level]
-            inner = stride // d
-            if level == self.order - 1:
-                return self.coeffs[base : base + d]
-            return [build(level + 1, base + k * inner, inner) for k in range(d)]
-
-        return build(0, 0, self.size)
+        # group from the last axis outwards, so no order is too deep to nest
+        nested = list(self.coeffs)
+        for d in reversed(self.shape[1:]):
+            nested = [nested[i : i + d] for i in range(0, len(nested), d)]
+        return nested
 
     def is_zero(self) -> bool:
         z = scalars.zero(self.field)
@@ -270,6 +266,8 @@ def tensor_from_json(obj: dict) -> DenseTensor:
     if not isinstance(obj["shape"], list):
         raise ValueError(f"'shape' must be a list of JSON integers, got {obj['shape']!r}")
     shape = tuple(scalars.json_int(n, "every 'shape' entry") for n in obj["shape"])
+    if type(obj["coeffs"]) is not list:
+        raise ValueError(f"'coeffs' must be a JSON array, got {type(obj['coeffs']).__name__}")
     coeffs = [scalars.from_json(field, c) for c in obj["coeffs"]]
     scalars.check_finite(field, coeffs)
     return DenseTensor(shape, coeffs, field)

@@ -26,6 +26,7 @@ Factoring routes:
 from __future__ import annotations
 
 import math
+import operator
 import random
 import re
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ from itertools import product as iter_product
 from typing import List, Optional, Sequence, Tuple
 
 from . import scalars
+from .algebra import MAX_COEFFS
 from .dense import DenseTensor
 from .rank import _residual, rank_decompose_rref, rank_decompose_svd
 from .scalars import COMPLEX, RATIONAL, REAL
@@ -396,8 +398,13 @@ def to_coefficient_tensor(e: TensorExpr) -> Tuple[DenseTensor, SlotBasis]:
     dims = basis.dims
     if not live:
         raise ValueError("cannot build a coefficient tensor: no contributing terms")
+    size = math.prod(dims)
+    if size > MAX_COEFFS:
+        raise ValueError(
+            f"the coefficient tensor of shape {dims} exceeds the budget of {MAX_COEFFS} coefficients"
+        )
     index = [{sym: i for i, sym in enumerate(slot)} for slot in basis.per_slot]
-    coeffs = [scalars.zero(e.field)] * math.prod(dims)
+    coeffs = [scalars.zero(e.field)] * size
     for t in live:
         partial = [(0, scalars.coerce(e.field, t.coefficient))]
         for k, sv in enumerate(t.slots):
@@ -555,41 +562,36 @@ def _draw(rng, field: str):
     return complex(x, rng.uniform(-1, 1)) if field == COMPLEX else x
 
 
-def _als_fit(dims, target, r, field, rng, sweeps, tol) -> Tuple[float, Optional[list]]:
-    """One ALS run at rank ``r``; returns ``(residual, terms)``, where term
-    ``l`` is its list of per-slot vectors, or ``(best residual, None)``."""
-    m = len(dims)
-    factors = [[[_draw(rng, field) for _ in range(r)] for _ in range(d)] for d in dims]
-    strides = [1] * m
-    for k in range(m - 2, -1, -1):
-        strides[k] = strides[k + 1] * dims[k + 1]
+def _unfoldings(dims, target) -> list:
+    """Mode unfoldings of the flat row-major ``target`` of shape ``dims``: row
+    ``i`` of unfolding ``n`` lists the entries whose slot-``n`` index is ``i``,
+    the other slots in row-major order."""
+    unfolded = [[[] for _ in range(d)] for d in dims]
+    for idx, c in zip(iter_product(*map(range, dims)), target):
+        for rows, i in zip(unfolded, idx):
+            rows[i].append(c)
+    return unfolded
+
+
+def _als_fit(target, unfolded, r, field, rng, sweeps, tol) -> Tuple[float, Optional[list]]:
+    """One ALS run at rank ``r`` on the flat ``target`` and its
+    :func:`_unfoldings`; returns ``(residual, terms)``, where term ``l`` is
+    its list of per-slot vectors, or ``(best residual, None)``."""
+    m = len(unfolded)
+    factors = [[[_draw(rng, field) for _ in range(r)] for _ in rows] for rows in unfolded]
     best = math.inf
     stale = 0
     for _ in range(sweeps):
         for n in range(m):
-            other = [k for k in range(m) if k != n]
-            rows = []  # (base offset, Khatri-Rao row)
-            for multi in iter_product(*[range(dims[k]) for k in other]):
-                base = sum(i * strides[k] for k, i in zip(other, multi))
-                row = []
-                for l in range(r):
-                    p = 1
-                    for k, i in zip(other, multi):
-                        p *= factors[k][i][l]
-                    row.append(p)
-                rows.append((base, row))
-            gram = [
-                [
-                    sum(row[l1].conjugate() * row[l2] for _, row in rows)
-                    for l2 in range(r)
-                ]
-                for l1 in range(r)
-            ]
-            rhs = [
-                [sum(row[l].conjugate() * target[base + i * strides[n]] for base, row in rows)
-                 for l in range(r)]
-                for i in range(dims[n])
-            ]
+            # Khatri-Rao rows over the other slots, in row-major order
+            rows = [[1] * r]
+            for k in range(m):
+                if k != n:
+                    rows = [[p * f for p, f in zip(row, v)] for row in rows for v in factors[k]]
+            cols = list(zip(*rows))
+            conj_cols = [[c.conjugate() for c in col] for col in cols] if field == COMPLEX else cols
+            gram = [[sum(map(operator.mul, cc, col)) for col in cols] for cc in conj_cols]
+            rhs = [[sum(map(operator.mul, cc, u)) for cc in conj_cols] for u in unfolded[n]]
             try:
                 factors[n] = _solve_linear(gram, rhs)
             except ArithmeticError:
@@ -649,10 +651,11 @@ def factor_heuristic_higher_order(
     target = [scalars.coerce(field, c) for c in tensor.coeffs]
     if all(c == scalars.zero(field) for c in target):
         return TensorExpr((), field), "verified-upper-bound"
+    unfolded = _unfoldings(tensor.shape, target)
     for r in range(1, max_rank + 1):
         for restart in range(restarts):
             rng = random.Random(seed + restart)
-            _, terms = _als_fit(tensor.shape, target, r, field, rng, sweeps, tol)
+            _, terms = _als_fit(target, unfolded, r, field, rng, sweeps, tol)
             if terms is not None:
                 return _factored(basis, terms, field), "verified-upper-bound"
     return TensorExpr(_live_terms(e.terms), e.field), "failed"

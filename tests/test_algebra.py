@@ -80,6 +80,20 @@ def test_d1_element_holds_one_flat_list_per_level():
     assert x.N == 1400 and held < 1 << 20
 
 
+def test_reprs_and_nested_lists_have_no_depth_limit():
+    # each once took one Python frame per tensor order, so both reprs raised
+    # RecursionError
+    head = "TruncatedTensor(d=1, N=1400, field='rational', [[Fraction(1, 1)], [Fraction(0, 1)], "
+    assert repr(unit(1, 1400)).startswith(head)
+    deep = DenseTensor((1,) * 600, [1])
+    assert repr(deep).startswith("DenseTensor(shape=(1, 1, ")
+    nested = deep.tolists()
+    for _ in range(600):
+        assert type(nested) is list and len(nested) == 1
+        nested = nested[0]
+    assert nested == 1
+
+
 def test_unit_shape():
     e = unit(2, 2)
     assert e.scalar_part() == 1

@@ -274,6 +274,25 @@ def test_algebra_inv_malformed_operand_is_user_error(tmp_path, capsys, levels, f
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["rank", "FILE"], '{"shape": [2, 2], "field": "rational", "coeffs": "1234"}'),
+        (["algebra", "inv", "FILE"],
+         '{"d": 2, "N": 2, "field": "rational", "levels": ["1", ["1", "0"], "1234"]}'),
+        (["algebra", "inv", "FILE"], '{"d": 1, "N": 1, "field": "rational", "levels": "12"}'),
+    ],
+    ids=["string-coeffs", "string-levels", "string-level-list"],
+)
+def test_json_string_where_an_array_belongs_is_user_error(tmp_path, capsys, argv, text):
+    # a string once read as a list of one-character coefficients
+    f = tmp_path / "input.json"
+    f.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, *[str(f) if a == "FILE" else a for a in argv])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "JSON array" in err and "Traceback" not in err
+
+
 def _matrix_file(field, coeffs):
     return f'{{"shape": [2, 2], "field": "{field}", "coeffs": [{coeffs}]}}'
 
@@ -333,6 +352,19 @@ def test_coefficient_budget_refuses_before_allocating(tmp_path, capsys, address_
     assert peak < 1 << 20
     code, out, _ = run(capsys, "dim", "3", "20")
     assert code == 0 and out == "5230176601\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["expand"], ["factor", "--method", "greedy-left"], ["factor", "--method", "als"]],
+    ids=["expand", "greedy", "als"],
+)
+def test_expression_coefficient_budget_refuses_before_allocating(capsys, address_space_cap, command):
+    # 399 bytes that expand to 2^30 coefficients (8 GiB of list slots)
+    text = "@".join(f"(x{k}a + x{k}b)" for k in range(30))
+    code, out, err = run(capsys, command[0], text, *command[1:])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "budget" in err and "Traceback" not in err
 
 
 def test_algebra_operand_budget_refused_before_levels_are_decoded(tmp_path, capsys):

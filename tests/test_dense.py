@@ -154,6 +154,13 @@ def test_component_access_one_based():
     assert vec(5, 6)[2] == 6
 
 
+def test_tolists_nests_row_major():
+    t = DenseTensor((2, 3, 2), list(range(12)))
+    assert t.tolists() == [[[0, 1], [2, 3], [4, 5]], [[6, 7], [8, 9], [10, 11]]]
+    assert vec(5, 6).tolists() == [5, 6]
+    assert DenseTensor.scalar(7).tolists() == 7
+
+
 def test_component_access_errors():
     t = mat([[1, 2], [3, 4]])
     with pytest.raises(IndexError):

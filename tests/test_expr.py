@@ -476,6 +476,92 @@ def test_heuristic_field_monotonicity_on_z():
     assert len(f3.terms) == 3
 
 
+def _reference_als_fit(dims, target, r, field, rng, sweeps, tol):
+    """The ALS fit as it was before it read mode unfoldings: every sweep
+    rebuilds the Khatri-Rao rows and offsets by index arithmetic."""
+    m = len(dims)
+    factors = [[[expr_module._draw(rng, field) for _ in range(r)] for _ in range(d)] for d in dims]
+    strides = [1] * m
+    for k in range(m - 2, -1, -1):
+        strides[k] = strides[k + 1] * dims[k + 1]
+    best = math.inf
+    stale = 0
+    for _ in range(sweeps):
+        for n in range(m):
+            other = [k for k in range(m) if k != n]
+            rows = []  # (base offset, Khatri-Rao row)
+            for multi in product(*[range(dims[k]) for k in other]):
+                base = sum(i * strides[k] for k, i in zip(other, multi))
+                row = []
+                for l in range(r):
+                    p = 1
+                    for k, i in zip(other, multi):
+                        p *= factors[k][i][l]
+                    row.append(p)
+                rows.append((base, row))
+            gram = [
+                [
+                    sum(row[l1].conjugate() * row[l2] for _, row in rows)
+                    for l2 in range(r)
+                ]
+                for l1 in range(r)
+            ]
+            rhs = [
+                [sum(row[l].conjugate() * target[base + i * strides[n]] for base, row in rows)
+                 for l in range(r)]
+                for i in range(dims[n])
+            ]
+            try:
+                factors[n] = expr_module._solve_linear(gram, rhs)
+            except ArithmeticError:
+                return math.inf, None
+        terms = [[[row[l] for row in f] for f in factors] for l in range(r)]
+        _, res = expr_module._residual(field, target, terms)
+        if res <= tol:
+            return res, terms
+        if res < best - 1e-14:
+            best = res
+            stale = 0
+        else:
+            stale += 1
+            if stale >= 5:
+                break
+    return best, None
+
+
+@st.composite
+def _als_cases(draw):
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=3, max_size=4)))
+    field = draw(st.sampled_from([REAL, COMPLEX]))
+    coerce = complex if field == COMPLEX else float
+    target = [coerce(draw(st.integers(-3, 3))) for _ in range(math.prod(dims))]
+    return dims, target, draw(st.integers(1, 3)), field, draw(st.integers(0, 10**6))
+
+
+@settings(deadline=None, max_examples=150)
+@given(_als_cases(), st.integers(1, 30), st.sampled_from([0.0, 1e-8]))
+def test_als_fit_on_unfoldings_matches_index_arithmetic_bit_for_bit(case, sweeps, tol):
+    dims, target, r, field, seed = case
+    unfolded = expr_module._unfoldings(dims, target)
+    got = expr_module._als_fit(target, unfolded, r, field, random.Random(seed), sweeps, tol)
+    want = _reference_als_fit(dims, target, r, field, random.Random(seed), sweeps, tol)
+    assert repr(got) == repr(want)
+
+
+def test_unfoldings_of_a_2x3x4_tensor():
+    dims = (2, 3, 4)
+    target = list(range(24))
+    unfolded = expr_module._unfoldings(dims, target)
+    assert [len(rows) for rows in unfolded] == [2, 3, 4]
+    assert unfolded[0] == [list(range(12)), list(range(12, 24))]
+    for n, d in enumerate(dims):
+        for i in range(d):
+            others = [range(dims[k]) if k != n else [i] for k in range(3)]
+            want = [target[(a * 3 + b) * 4 + c] for a, b, c in product(*others)]
+            assert unfolded[n][i] == want
+    assert unfolded[2][1] == [1, 5, 9, 13, 17, 21]
+
+
 def test_heuristic_never_verifies_nan_factors(monkeypatch):
     monkeypatch.setattr(expr_module, "_solve_linear", lambda A, B: [[math.nan] * len(A) for _ in B])
     e = parse(Z_EXPR)
