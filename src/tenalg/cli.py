@@ -1,7 +1,10 @@
 """Command-line interface: every library capability as a subcommand.
 
 Exit codes: 0 on success, 1 on user error (bad input, unknown command),
-2 on numerical failure (e.g. SVD non-convergence).  All output is UTF-8 and
+2 on numerical failure (e.g. SVD non-convergence).  Every reader of outside
+input raises :class:`ValueError` (or :class:`OSError` for a file) where it
+finds the input bad, so :func:`main` turns only those into exit 1; any other
+exception is a bug and ends in a traceback.  All output is UTF-8 and
 deterministic for a fixed argument vector.
 """
 
@@ -23,7 +26,10 @@ def _reject_constant(name: str):
 
 def _read_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, parse_constant=_reject_constant)
+        try:
+            return json.load(fh, parse_constant=_reject_constant)
+        except RecursionError:
+            raise ValueError(f"JSON input {path!r} is nested too deeply") from None
 
 
 class NonFiniteResultError(ArithmeticError):
@@ -320,13 +326,14 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     if getattr(args, "command", None) is None:
         _PARSER.print_usage(sys.stderr)
+        print("error: a command is required", file=sys.stderr)
         return 1
     try:
         return args.func(args)
     except (rank.ConvergenceError, NonFiniteResultError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, KeyError, IndexError, TypeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

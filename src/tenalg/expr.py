@@ -421,11 +421,22 @@ def to_coefficient_tensor(e: TensorExpr) -> Tuple[DenseTensor, SlotBasis]:
 
 def expand(e: TensorExpr) -> TensorExpr:
     """Fully distributed canonical form: pure-symbol terms, coefficients
-    collected, zero terms dropped, lexicographic order in the slot indices."""
+    collected, zero terms dropped, lexicographic order in the slot indices.
+
+    Beyond the coefficient budget of :func:`to_coefficient_tensor`, an
+    expansion whose nonzero terms times slots exceed ``MAX_COEFFS`` is
+    refused with :class:`ValueError` before any term is built."""
     if not _live_terms(e.terms):
         return TensorExpr((), e.field)
     tensor, basis = to_coefficient_tensor(e)
     zero = scalars.zero(e.field)
+    # each term of the expansion holds one SlotVector per slot
+    nonzero = tensor.size - tensor.coeffs.count(zero)
+    if nonzero * e.order > MAX_COEFFS:
+        raise ValueError(
+            f"the expansion has {nonzero} terms of {e.order} slots, over the budget of "
+            f"{MAX_COEFFS} slot entries"
+        )
     one = scalars.one(e.field)
     terms = [
         Term(c, tuple(SlotVector(((sym, one),)) for sym in syms))
@@ -708,16 +719,39 @@ def expr_to_json(e: TensorExpr) -> dict:
     }
 
 
+def _json_array(obj, key: str, what: str) -> list:
+    """``obj[key]``, where ``obj`` must be a JSON object holding an array there."""
+    if not isinstance(obj, dict) or type(obj.get(key)) is not list:
+        raise ValueError(f"{what} must be a JSON object with a {key!r} array")
+    return obj[key]
+
+
 def expr_from_json(obj: dict) -> TensorExpr:
+    """Read the JSON AST that :func:`expr_to_json` writes.  Malformed input
+    raises :class:`ValueError`, and real and complex scalars must be finite."""
+    raw_terms = _json_array(obj, "terms", "an expression")
     field = scalars.check_field(obj.get("field", RATIONAL))
-    terms = []
-    for t in obj["terms"]:
+    terms, values = [], []
+    for t in raw_terms:
+        raw_slots = _json_array(t, "slots", "each term")
+        if "coefficient" not in t:
+            raise ValueError("each term must have a 'coefficient'")
         coeff = scalars.from_json(field, t["coefficient"])
-        slots = tuple(
-            SlotVector(tuple((sym, scalars.from_json(field, c)) for sym, c in sv))
-            for sv in t["slots"]
-        )
-        terms.append(Term(coeff, slots))
+        values.append(coeff)
+        slots = []
+        for sv in raw_slots:
+            if type(sv) is not list or not all(
+                type(p) is list and len(p) == 2 and type(p[0]) is str for p in sv
+            ):
+                raise ValueError(
+                    f"a slot must be a JSON array of [symbol, coefficient] pairs whose "
+                    f"symbols are strings, got {sv!r}"
+                )
+            entries = [(sym, scalars.from_json(field, c)) for sym, c in sv]
+            values.extend(c for _, c in entries)
+            slots.append(SlotVector(entries))
+        terms.append(Term(coeff, tuple(slots)))
+    scalars.check_finite(field, values)
     out = TensorExpr(tuple(terms), field)
     _validate(out.terms)
     return out

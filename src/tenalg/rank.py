@@ -21,7 +21,6 @@ problem is NP-hard); only verification of supplied decompositions lives here.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -69,24 +68,38 @@ class RankDecomposition:
     field: str
 
 
-def _as_fraction_matrix(M) -> List[List[Fraction]]:
-    if isinstance(M, DenseTensor):
-        if M.order != 2:
-            raise ShapeMismatchError(f"expected an order-2 tensor, got order {M.order}")
-        if M.field != RATIONAL:
-            raise scalars.FieldMismatchError("the RREF route needs the rational field")
-        n, m = M.shape
-        return [[M.coeffs[i * m + j] for j in range(m)] for i in range(n)]
-    return [[x if type(x) is Fraction else Fraction(x) for x in row] for row in M]
+def _matrix(M, field: str) -> DenseTensor:
+    """``M`` as an order-2 tensor of ``field``.
+
+    A list of rows goes through :meth:`DenseTensor.matrix`, so ragged or
+    empty rows are refused and every entry enters through
+    :func:`tenalg.scalars.coerce`.  A rational tensor is read as real once
+    when ``field`` is real; any other field change is refused.
+    """
+    if not isinstance(M, DenseTensor):
+        return DenseTensor.matrix(M, field)
+    if M.order != 2:
+        raise ShapeMismatchError(f"expected an order-2 tensor, got order {M.order}")
+    if M.field == field:
+        return M
+    if (M.field, field) != (RATIONAL, REAL):
+        raise scalars.FieldMismatchError(f"expected a {field} matrix, got a {M.field} one")
+    return DenseTensor(M.shape, M.coeffs, REAL)
+
+
+def _rows(t: DenseTensor) -> list:
+    m = t.shape[1]
+    return [t.coeffs[i : i + m] for i in range(0, t.size, m)]
 
 
 def rref(M) -> Tuple[List[List[Fraction]], List[int]]:
     """Reduced row echelon form over the rationals.
 
-    Returns the echelon matrix and the pivot columns (1-based, in order).
-    Pivoting takes the first non-zero entry scanning top to bottom; exact
-    arithmetic needs no magnitude pivoting, and this choice keeps the
-    emitted decompositions deterministic.
+    ``M`` is a rational order-2 tensor or a list of equally long rows of
+    ints and Fractions.  Returns the echelon matrix and the pivot columns
+    (1-based, in order).  Pivoting takes the first non-zero entry scanning
+    top to bottom; exact arithmetic needs no magnitude pivoting, and this
+    choice keeps the emitted decompositions deterministic.
 
     The elimination runs over Python ints (fraction-free Gauss-Jordan,
     Bareiss 1968): each row is first scaled by the lcm of its denominators,
@@ -98,11 +111,9 @@ def rref(M) -> Tuple[List[List[Fraction]], List[int]]:
     The echelon form is unique, so this is the same matrix the elimination
     over Fractions gives.
     """
-    A = _as_fraction_matrix(M)
-    if not A:
-        return [], []
-    n, m = len(A), len(A[0])
-    B = [integer_row(row)[1] for row in A]
+    A = _matrix(M, RATIONAL)
+    n, m = A.shape
+    B = [integer_row(row)[1] for row in _rows(A)]
     pivots: List[int] = []
     row = 0
     prev = 1
@@ -141,12 +152,13 @@ def rank_decompose_rref(M) -> RankDecomposition:
     mismatch raises :class:`RuntimeError`: it is an implementation bug, not
     bad input.
     """
-    A = _as_fraction_matrix(M)
+    A = _matrix(M, RATIONAL)
     R, pivots = rref(A)
     r = len(pivots)
-    d1 = tuple(tuple(row[p - 1] for row in A) for p in pivots)
+    m = A.shape[1]
+    d1 = tuple(tuple(A.coeffs[p - 1 :: m]) for p in pivots)
     d2 = tuple(tuple(R[l]) for l in range(r))
-    ok, _ = _residual(RATIONAL, [x for row in A for x in row], list(zip(d1, d2)))
+    ok, _ = _residual(RATIONAL, A.coeffs, list(zip(d1, d2)))
     if not ok:
         raise RuntimeError("RREF decomposition failed to reconstruct its input")
     return RankDecomposition(r=r, d1=d1, d2=d2, field=RATIONAL)
@@ -247,15 +259,18 @@ def _jacobi_svd_tall(M: List[List[float]]):
 def svd(M) -> Tuple[List[List[float]], List[float], List[List[float]]]:
     """Singular value decomposition M = U diag(sigma) V^T.
 
-    ``M`` is a real matrix (list of rows or a real/rational order-2 tensor)
-    with finite entries; a NaN or an infinity raises :class:`ValueError`.
+    ``M`` is a real or rational order-2 tensor or a list of equally long
+    rows of ints, floats and Fractions, all finite; a NaN or an infinity
+    raises :class:`ValueError`.
     Returns (U, sigma, Vt): U is n x n, Vt is m x m, both orthogonal within
     EPS_SVD; sigma holds the min(n, m) singular values, non-negative and
     non-increasing.  Raises :class:`ConvergenceError` if the rotation sweep
     cap is exhausted.
     """
-    rows = _as_float_matrix(M)
-    n, m = len(rows), len(rows[0])
+    t = _matrix(M, REAL)
+    scalars.check_finite(REAL, t.coeffs)
+    rows = _rows(t)
+    n, m = t.shape
     if n >= m:
         u_cols, sig, v_cols = _jacobi_svd_tall(rows)
         # columns of V are exactly the rows of Vt
@@ -263,26 +278,6 @@ def svd(M) -> Tuple[List[List[float]], List[float], List[List[float]]]:
     u_cols, sig, v_cols = _jacobi_svd_tall(_transpose(rows))
     # M^T = U2 S V2^T  =>  M = V2 S^T U2^T
     return _transpose(v_cols), sig[:n], [list(c) for c in u_cols]
-
-
-class _FloatRows(list):
-    """Rows of finite floats made by :func:`_as_float_matrix`, which passes one through as is."""
-
-
-def _as_float_matrix(M) -> _FloatRows:
-    if type(M) is _FloatRows:
-        return M
-    if isinstance(M, DenseTensor):
-        if M.order != 2:
-            raise ShapeMismatchError(f"expected an order-2 tensor, got order {M.order}")
-        if M.field not in (RATIONAL, REAL):
-            raise scalars.FieldMismatchError("the SVD route needs real (or rational) input")
-        n, m = M.shape
-        rows = _FloatRows([float(M.coeffs[i * m + j]) for j in range(m)] for i in range(n))
-    else:
-        rows = _FloatRows([float(x) for x in row] for row in M)
-    scalars.check_finite(REAL, itertools.chain.from_iterable(rows))
-    return rows
 
 
 def numeric_rank(sigma: Sequence[float], n: int, m: int) -> int:
@@ -297,13 +292,13 @@ def numeric_rank(sigma: Sequence[float], n: int, m: int) -> int:
 
 def rank_decompose_svd(M) -> RankDecomposition:
     """Floating rank decomposition via the SVD: D1^T = U', D2 = S'V'^T."""
-    rows = _as_float_matrix(M)
-    n, m = len(rows), len(rows[0])
-    U, sig, Vt = svd(rows)
+    t = _matrix(M, REAL)
+    n, m = t.shape
+    U, sig, Vt = svd(t)
     r = numeric_rank(sig, n, m)
     d1 = tuple(tuple(U[i][l] for i in range(n)) for l in range(r))
     d2 = tuple(tuple(sig[l] * Vt[l][j] for j in range(m)) for l in range(r))
-    ok, res = _residual(REAL, [x for row in rows for x in row], list(zip(d1, d2)))
+    ok, res = _residual(REAL, t.coeffs, list(zip(d1, d2)))
     if not ok:
         raise ConvergenceError(f"SVD decomposition residual {res:.3e} exceeds tolerance")
     return RankDecomposition(r=r, d1=d1, d2=d2, field=REAL)

@@ -66,8 +66,10 @@ def coerce(field: str, value):
     """Convert ``value`` into ``field``, or raise :class:`FieldMismatchError`.
 
     Ints embed into every field.  Fractions embed into every field (losing
-    exactness outside the rational field).  Floats do not embed into the
-    rational field: there is no honest way back to an intended ratio.
+    exactness outside the rational field); an int or a Fraction beyond the
+    float range raises :class:`ValueError` there.  Floats do not embed into
+    the rational field: there is no honest way back to an intended ratio.
+    Bools, strings and every other type embed nowhere.
     """
     if type(value) is _TYPES.get(field):
         return value
@@ -81,12 +83,17 @@ def coerce(field: str, value):
     if field == REAL:
         if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
             raise FieldMismatchError(f"cannot place {value!r} in the real field")
-        return float(value)
+        return _float(value)
     if isinstance(value, bool) or not isinstance(value, (int, float, complex, Fraction)):
         raise FieldMismatchError(f"cannot place {value!r} in the complex field")
-    if isinstance(value, Fraction):
-        value = float(value)
-    return complex(value)
+    return complex(value if isinstance(value, complex) else _float(value))
+
+
+def _float(value) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("a value beyond the float range (about 1.8e308) has no float") from None
 
 
 def close(field: str, a, b) -> bool:
@@ -160,11 +167,17 @@ def from_json(field: str, obj):
         except ZeroDivisionError:
             raise ValueError(f"rational scalar {obj!r} has a zero denominator") from None
     if field == REAL:
-        if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-            raise ValueError(f"real scalars must be numbers, got {obj!r}")
-        return float(obj)
+        return _json_number(obj, "real scalars must be numbers")
+    what = "complex scalars must be [re, im] pairs of numbers"
     if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        return complex(float(obj[0]), float(obj[1]))
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return complex(float(obj), 0.0)
-    raise ValueError(f"complex scalars must be [re, im] pairs, got {obj!r}")
+        return complex(_json_number(obj[0], what), _json_number(obj[1], what))
+    return complex(_json_number(obj, what), 0.0)
+
+
+def _json_number(obj, what: str) -> float:
+    """A JSON number as a float: no bool, string or container."""
+    if type(obj) is float:
+        return obj
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+        raise ValueError(f"{what}, got {obj!r}")
+    return _float(obj)

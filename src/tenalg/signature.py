@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import scalars
 from .algebra import TruncatedTensor, _check_budget, concat_product, unit
 from .dense import DenseTensor, tensor_product
 from .scalars import REAL
@@ -40,12 +41,15 @@ __all__ = [
 
 
 class PiecewiseLinearPath:
-    """Uniformly parameterized piecewise-linear path through K >= 1 finite points."""
+    """Uniformly parameterized piecewise-linear path through K >= 1 finite points.
+
+    Each coordinate enters the real field through :func:`tenalg.scalars.coerce`:
+    an int, a float or a Fraction, never a bool or a string."""
 
     __slots__ = ("points", "d")
 
     def __init__(self, points: Sequence[Sequence[float]]):
-        pts = [tuple(float(c) for c in p) for p in points]
+        pts = [tuple(scalars.coerce(REAL, c) for c in p) for p in points]
         if not pts:
             raise ValueError("a path needs at least one sample point")
         d = len(pts[0])
@@ -97,12 +101,12 @@ class Signature:
         return self.value.N
 
 
-def segment_signature(increment: Sequence[float], N: int, interval=(0.0, 1.0)) -> Signature:
-    """Signature of a single linear segment with the given increment.
+def segment_signature(increment: Sequence[float], N: int) -> Signature:
+    """Signature over [0, 1] of a single linear segment with the given increment.
 
     Level n is increment^(x)n / n!.  A zero increment gives the unit.
     """
-    inc = DenseTensor.vector([float(c) for c in increment], REAL)
+    inc = DenseTensor.vector(increment, REAL)
     d = inc.shape[0]
     _check_budget(d, N)
     flats = [[1.0]]
@@ -110,7 +114,7 @@ def segment_signature(increment: Sequence[float], N: int, interval=(0.0, 1.0)) -
         nxt = tensor_product(DenseTensor._trusted((d,) * (n - 1), flats[-1], REAL), inc)
         flats.append([c / n for c in nxt.coeffs])
     value = TruncatedTensor._trusted(d, N, flats, REAL)
-    return Signature(value, (float(interval[0]), float(interval[1])))
+    return Signature(value, (0.0, 1.0))
 
 
 def _clipped_increments(path: PiecewiseLinearPath, s: float, t: float):
@@ -190,7 +194,10 @@ def read_path_csv(text_or_file) -> PiecewiseLinearPath:
         stream = io.StringIO(text_or_file)
     else:
         stream = text_or_file
-    rows = [row for row in csv.reader(stream) if any(cell.strip() for cell in row)]
+    try:
+        rows = [row for row in csv.reader(stream) if any(cell.strip() for cell in row)]
+    except csv.Error as exc:
+        raise ValueError(f"malformed CSV: {exc}") from None
     if not rows:
         raise ValueError("empty path file")
     points = []

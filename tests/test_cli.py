@@ -1,7 +1,9 @@
 import io
 import json
+import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -10,8 +12,10 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from tenalg import algebra
+from tenalg import algebra, rank
 from tenalg.cli import main
 
 from test_acceptance import _golden_commands
@@ -293,6 +297,12 @@ def test_json_string_where_an_array_belongs_is_user_error(tmp_path, capsys, argv
     assert err.startswith("error:") and "JSON array" in err and "Traceback" not in err
 
 
+# a rational with 401 digits, beyond the float range
+HUGE = "1" + "0" * 400
+DEEP_JSON = "[" * 200_000 + "]" * 200_000
+LONG_CSV = "1," + "7" * 200_000 + "\n"
+
+
 def _matrix_file(field, coeffs):
     return f'{{"shape": [2, 2], "field": "{field}", "coeffs": [{coeffs}]}}'
 
@@ -314,10 +324,22 @@ def _matrix_file(field, coeffs):
          '{"d": 1, "N": 1, "field": "real", "levels": [[1e999], [1]]}'),
         (["algebra", "inv", "FILE"],
          '{"d": 1, "N": 1, "field": "complex", "levels": [[[1, 0]], [[0, -1e999]]]}'),
+        (["factor", HUGE + " a1@b1@c1", "--method", "als"], None),
+        (["factor", HUGE + " a1@b1@c1", "--method", "als", "--field", "complex"], None),
+        (["factor", HUGE + " a1@b1 + a2@b2", "--route", "svd"], None),
+        (["rank", "FILE", "--method", "svd"], _matrix_file("rational", f'"{HUGE}1", "1", "1", "1"')),
+        (["rank", "FILE"], _matrix_file("complex", "[[1], 0], [1, 0], [1, 0], [1, 0]")),
+        (["rank", "FILE", "--method", "svd"], _matrix_file("complex", "[1, {}], [1, 0], [1, 0], [1, 0]")),
+        (["rank", "FILE", "--method", "svd"], _matrix_file("real", f"{HUGE}, 1, 1, 1")),
+        (["algebra", "inv", "FILE"], DEEP_JSON),
+        (["sig", "FILE", "--depth", "2"], LONG_CSV),
     ],
     ids=["expr-1/0", "json-1/0", "json-nan", "json-inf", "json-minus-inf", "json-overflow",
          "algebra-nan", "csv-nan", "csv-inf", "algebra-inv-overflow", "algebra-project-overflow",
-         "algebra-complex-overflow"],
+         "algebra-complex-overflow", "als-huge-coefficient", "als-complex-huge-coefficient",
+         "svd-route-huge-coefficient", "svd-huge-rational", "complex-pair-holds-list",
+         "complex-pair-holds-dict", "real-huge-integer", "json-nested-too-deep",
+         "csv-field-over-limit"],
 )
 def test_zero_denominator_and_non_finite_input_are_user_errors(tmp_path, capsys, argv, text):
     f = tmp_path / "input"
@@ -326,6 +348,18 @@ def test_zero_denominator_and_non_finite_input_are_user_errors(tmp_path, capsys,
     code, out, err = run(capsys, *[str(f) if a == "FILE" else a for a in argv])
     assert code == 1 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("error", [TypeError, IndexError, KeyError])
+def test_internal_errors_are_not_reported_as_user_errors(tmp_path, monkeypatch, error):
+    def broken(t):
+        raise error("a bug in a kernel")
+
+    f = tmp_path / "B.json"
+    f.write_text(B_JSON, encoding="utf-8")
+    monkeypatch.setattr(rank, "rank_decompose_rref", broken)
+    with pytest.raises(error):
+        main(["rank", str(f)])
 
 
 def test_non_finite_result_is_numerical_failure(tmp_path, capsys):
@@ -455,6 +489,7 @@ def test_unknown_subcommand_exits_1(capsys):
 def test_no_arguments_prints_usage(capsys):
     code, _, err = run(capsys)
     assert code == 1 and "usage" in err.lower()
+    assert err.endswith("error: a command is required\n")
 
 
 def test_version_exits_0(capsys):
@@ -479,6 +514,10 @@ def test_repeat_runs_identical(tmp_path, capsys):
 def test_repeated_main_matches_fresh_processes(tmp_path, monkeypatch):
     # help text wraps to the terminal width: pin it for both sides
     monkeypatch.setenv("COLUMNS", "80")
+    (tmp_path / "deep.json").write_text(DEEP_JSON, encoding="utf-8")
+    (tmp_path / "long.csv").write_text(LONG_CSV, encoding="utf-8")
+    (tmp_path / "pair.json").write_text(_matrix_file("complex", "[[1], 0], 1, 1, 1"), encoding="utf-8")
+    (tmp_path / "huge.json").write_text(_matrix_file("rational", f'"{HUGE}", "1", "1", "1"'), encoding="utf-8")
     argvs = _golden_commands(tmp_path) + [
         ["frobnicate"],
         ["sig", str(tmp_path / "path.csv")],
@@ -486,6 +525,12 @@ def test_repeated_main_matches_fresh_processes(tmp_path, monkeypatch):
         ["--help"],
         ["sig", "--help"],
         ["--version"],
+        [],
+        ["algebra", "inv", str(tmp_path / "deep.json")],
+        ["sig", str(tmp_path / "long.csv"), "--depth", "2"],
+        ["rank", str(tmp_path / "pair.json")],
+        ["rank", str(tmp_path / "huge.json"), "--method", "svd"],
+        ["factor", HUGE + " a1@b1@c1", "--method", "als", "--max-rank", "1"],
     ]
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     fresh = {}
@@ -517,3 +562,225 @@ def test_format_closure_sig_feeds_algebra(tmp_path, capsys):
     levels = json.loads(prod_out)["levels"]
     assert levels[0] == [1.0]
     assert all(abs(c) < 1e-12 for lvl in levels[1:] for c in lvl)
+
+
+# -- the exit contract under fuzzed argv and files ------------------------------
+#
+# Every outside value reaches the kernels through a reader that raises
+# ValueError (or OSError) where it finds the input bad, so main succeeds,
+# reports a user error or reports a numerical failure; any exception that
+# escapes it is a bug.  Most generated inputs are well formed with at most
+# one fault, so the kernels run too.  The work stays bounded: nesting depth
+# <= 4, sizes inside the coefficient budget, --oracle <= 50, --max-rank <= 3,
+# --sweeps <= 20.
+
+_ERROR_LINE = re.compile(r"^(error:|numerical failure:|tenalg( \w+)?: error:)", re.M)
+
+_leaf = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.sampled_from([10**400, -(10**30), 2**63]),
+    st.floats(),  # NaN and the infinities print as literals the reader refuses
+    st.sampled_from(["1", "-3/4", "1/0", "0.5", "1e3", "x", "", "[1]", HUGE]),
+)
+
+
+def _json_values(depth):
+    if depth == 0:
+        return _leaf
+    inner = _json_values(depth - 1)
+    keys = st.sampled_from(["shape", "field", "coeffs", "d", "N", "levels", "x"])
+    return st.one_of(_leaf, st.lists(inner, max_size=3), st.dictionaries(keys, inner, max_size=3))
+
+
+def _often(valid, *faults):
+    """``valid`` about nine times in ten, otherwise one of ``faults``."""
+    return st.sampled_from(range(10)).flatmap(lambda i: valid if i else st.one_of(*faults))
+
+
+_number = st.one_of(st.integers(-3, 3), st.floats(-4, 4), st.sampled_from([1e300, 1e-300]))
+_scalars = {
+    "rational": st.one_of(st.integers(-3, 3), st.fractions(max_denominator=5).map(str)),
+    "real": _number,
+    "complex": st.one_of(st.tuples(_number, _number).map(list), _number),
+}
+_bad_scalar = st.one_of(
+    st.sampled_from(["1/0", "x", HUGE, 0.5, True, 10**400, "1.5", [True, 1], ["1.5", "2"]]),
+    st.sampled_from([[[1], 2], [{}, 1], [1, 2, 3], None]),
+    _json_values(2),
+)
+_field_name = st.sampled_from(["rational", "real", "complex"])
+
+
+@st.composite
+def _faulty(draw, doc, flats):
+    """``doc`` as it is about half the time; otherwise with one fault: a key
+    dropped or replaced by any JSON value, or one coefficient of one of the
+    lists ``flats`` replaced by a bad scalar."""
+    kind = draw(st.sampled_from(["keep"] * 4 + ["drop", "replace", "scalar", "scalar"]))
+    if kind == "scalar" and any(flats):
+        flat = draw(st.sampled_from([f for f in flats if f]))
+        flat[draw(st.integers(0, len(flat) - 1))] = draw(_bad_scalar)
+    elif kind in ("drop", "replace"):
+        key = draw(st.sampled_from(sorted(doc)))
+        doc = {k: v for k, v in doc.items() if k != key}
+        if kind == "replace":
+            doc[key] = draw(_json_values(3))
+    return doc
+
+
+@st.composite
+def _dense_doc(draw):
+    field = draw(_field_name)
+    shape = draw(_often(st.lists(st.integers(1, 4), min_size=2, max_size=2),
+                        st.lists(st.integers(1, 3), max_size=3)))
+    count = math.prod(shape)
+    coeffs = draw(st.lists(_scalars[field], min_size=count, max_size=count))
+    shape = draw(_often(st.just(shape),
+                        st.sampled_from([[10**6, 10**6], [-1, 2], [2.0, 2], [10**30], [0, 1]])))
+    return draw(_faulty({"shape": shape, "field": field, "coeffs": coeffs}, [coeffs]))
+
+
+@st.composite
+def _tt_doc(draw):
+    field = draw(_field_name)
+    d, N = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    levels = [draw(st.lists(_scalars[field], min_size=d**n, max_size=d**n)) for n in range(N + 1)]
+    d, N = draw(_often(st.just((d, N)),
+                       st.sampled_from([(1, 5000), (10**6, 1), (2, 10**30), (-1, 1), (2, N + 1)])))
+    return draw(_faulty({"d": d, "N": N, "field": field, "levels": levels}, levels))
+
+
+_cell = _often(
+    st.one_of(st.integers(-3, 3).map(str), st.floats(-4, 4).map(repr)),
+    st.sampled_from(["nan", "inf", "1e200", "1e999", "x", "", " ", HUGE]),
+)
+
+
+@st.composite
+def _csv(draw):
+    d = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(_cell, min_size=d, max_size=d), min_size=1, max_size=5))
+    # a header row, or a row of another dimension
+    rows = draw(_often(st.just(rows), st.just([["x"] * d] + rows), st.just(rows + [["1"] * (d + 1)])))
+    return "\n".join(map(",".join, rows)) + "\n"
+
+
+def _encoded(docs):
+    return docs.map(lambda v: json.dumps(v).encode())
+
+
+_any_file = st.one_of(
+    _encoded(_json_values(4)),
+    st.binary(max_size=24),  # mostly invalid UTF-8
+    st.sampled_from(
+        [b'{"shape": [1], "coeffs": ["\xff"]}', b"0,0\n\xc3\x28,1\n", b"\xef\xbb\xbf0,1\n"]
+    ),
+)
+_files = {
+    "rank": _often(_encoded(_dense_doc()), _any_file),
+    "decompose": _often(_encoded(_dense_doc()), _any_file),
+    "sig": _often(_csv().map(str.encode), _any_file),
+    "algebra": _often(_encoded(_tt_doc()), _any_file),
+}
+
+
+@st.composite
+def _expressions(draw):
+    order = draw(st.integers(1, 4))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        slots = []
+        for k in range(draw(_often(st.just(order), st.integers(1, 4)))):
+            syms = [f"{'abcd'[k]}{i}" for i in draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))]
+            coeffs = [draw(st.sampled_from(["", "", "2 ", "1/2 ", "0 "])) for _ in syms]
+            body = draw(st.sampled_from([" + ", " - "])).join(c + s for c, s in zip(coeffs, syms))
+            slots.append(body if len(syms) == 1 and not coeffs[0] else f"({body})")
+        lead = draw(_often(st.sampled_from(["", "3 ", "1/3 ", "10/7 "]),
+                           st.sampled_from(["1/0 ", HUGE + " "])))
+        terms.append(lead + "@".join(slots))
+    return draw(st.sampled_from([" + ", " - "])).join(terms)
+
+
+_expression = _often(_expressions(), st.text(alphabet="ab12@+-()*/ 0.x", max_size=20))
+
+
+def _int_text(lo, hi):
+    return _often(st.integers(lo, hi).map(str), st.sampled_from(["x", "1.5", ""]))
+
+
+_options = {
+    "dim": [],
+    "rank": [("--method", _often(st.sampled_from(["rref", "svd"]), st.just("qr")))],
+    "decompose": [("--method", st.sampled_from(["rref", "svd"])), ("--json", None)],
+    "factor": [
+        ("--method", st.sampled_from(["exact", "greedy-left", "greedy-right", "als"])),
+        ("--route", st.sampled_from(["rref", "svd"])),
+        ("--field", _often(_field_name, st.just("quaternion"))),
+        ("--max-rank", _int_text(-1, 3)),
+        ("--sweeps", _int_text(-1, 20)),
+        ("--restarts", _int_text(-1, 3)),
+        ("--seed", _often(st.integers(-5, 5).map(str), st.just("1" + "0" * 30))),
+        ("--tol-als", _often(st.just("1e-8"), st.sampled_from(["0", "-1", "nan", "inf", "x"]))),
+        ("--json", None),
+    ],
+    "expand": [("--json", None)],
+    "sig": [
+        ("--from", _often(st.sampled_from(["0", "0.25"]), st.sampled_from(["1", "-1", "nan", "inf", "x"]))),
+        ("--to", _often(st.sampled_from(["1", "0.75"]), st.sampled_from(["0", "2", "nan", "x"]))),
+        ("--oracle", _int_text(-1, 50)),
+    ],
+    "algebra": [("--level", _int_text(-1, 4))],
+}
+
+
+@st.composite
+def _cli_cases(draw):
+    """(argv with FILE0/FILE1 placeholders, the two files' bytes)."""
+    command = draw(_often(st.sampled_from(sorted(_options)), st.just("frobnicate")))
+    argv = [command]
+    if command == "dim":
+        argv += [draw(_often(_int_text(-2, 30), st.sampled_from(["14000", "100000000", "-" + HUGE])))
+                 for _ in range(2)]
+    elif command in ("factor", "expand"):
+        argv.append(draw(_expression))
+        if command == "factor":
+            # the ALS defaults are 500 sweeps and 20 restarts: keep every run small
+            argv += ["--max-rank", "2", "--sweeps", "10", "--restarts", "2"]
+    elif command == "algebra":
+        op = draw(_often(st.sampled_from(["mul", "inv", "project"]), st.just("add")))
+        argv += [op, "FILE0", "FILE1"][: draw(_often(st.just(3 if op == "mul" else 2), st.integers(1, 3)))]
+    elif command == "sig":
+        depth = _often(st.integers(0, 4).map(str), st.sampled_from(["-1", "100", "x"]))
+        argv += ["FILE0", "--depth", draw(depth)]
+    elif command != "frobnicate":
+        argv.append("FILE0")
+    for flag, value in _options.get(command, []):
+        if draw(st.booleans()):
+            argv += [flag] if value is None else [flag, draw(value)]
+    if draw(_often(st.just(False), st.just(True))):
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(["--bogus", "extra", "-"])))
+    files = _files.get(command, _any_file)
+    return argv, [draw(files), draw(files)]
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_cli_cases())
+@example((["sig", "FILE0", "--depth", "2"], [b"0,0\n1e200,1\n", b""]))  # exit 2
+def test_main_exits_0_1_or_2_and_never_raises(tmp_path, address_space_cap, case):
+    argv, blobs = case
+    paths = []
+    for k, blob in enumerate(blobs):
+        path = tmp_path / f"input{k}"
+        path.write_bytes(blob)
+        paths.append(str(path))
+    argv = [paths[int(a[-1])] if a in ("FILE0", "FILE1") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code:
+        assert _ERROR_LINE.search(err.getvalue()), (argv, err.getvalue())
+    if code == 2:
+        assert out.getvalue() == "", argv

@@ -183,6 +183,17 @@ def test_expand_collects_duplicates():
     assert render(e) == "3 a1@b1 - a2@b2"
 
 
+def test_expand_budget_counts_nonzero_terms_times_slots(address_space_cap):
+    # 2^17 terms of 17 slots: over MAX_COEFFS slot entries, refused before a term is built
+    full = "@".join(f"(x{k}a + x{k}b)" for k in range(17))
+    with pytest.raises(ValueError, match="131072 terms of 17 slots"):
+        expand(parse(full))
+    with pytest.raises(ValueError, match="slot entries"):
+        factor_greedy(parse(full))
+    # the same coefficient tensor with every coefficient cancelled expands to zero
+    assert render(expand(parse(f"{full} - {full}"))) == "0"
+
+
 def test_render_parse_round_trip_canonical():
     rng = random.Random(2024)
     for _ in range(25):
@@ -609,6 +620,33 @@ def test_exact_rejects_non_rational():
 def test_expr_json_round_trip():
     e = parse(E)
     assert expr_from_json(expr_to_json(e)) == e
+
+
+_TERM = {"coefficient": 1.0, "slots": [[["a1", 1.0]], [["b1", 1.0]]]}
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [],
+        {"field": "real"},
+        {"field": "real", "terms": {"a": 1}},
+        {"field": "real", "terms": [5]},
+        {"field": "real", "terms": [{"coefficient": 1.0}]},
+        {"field": "real", "terms": [{"coefficient": 1.0, "slots": "a1"}]},
+        {"field": "real", "terms": [{"slots": [[["a1", 1.0]]]}]},
+        {"field": "real", "terms": [{"coefficient": 1.0, "slots": [["a1", 1.0]]}]},
+        {"field": "real", "terms": [{"coefficient": 1.0, "slots": [[[1, 1.0]]]}]},
+        {"field": "real", "terms": [{"coefficient": 1.0, "slots": [[["a1"]]]}]},
+        {"field": "real", "terms": [dict(_TERM, coefficient=math.nan)]},
+        {"field": "real", "terms": [{"coefficient": 1.0, "slots": [[["a1", math.inf]]]}]},
+        {"field": "complex", "terms": [dict(_TERM, coefficient=[0.0, math.nan])]},
+        {"field": "rational", "terms": [dict(_TERM, coefficient="1/0")]},
+    ],
+)
+def test_expr_from_json_refuses_malformed_input_with_value_error(obj):
+    with pytest.raises(ValueError):
+        expr_from_json(obj)
 
 
 def test_expr_json_structure():

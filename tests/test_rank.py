@@ -422,6 +422,50 @@ def test_svd_rejects_non_finite_entries(bad):
         rank_decompose_svd([[1.0, bad], [0.0, 1.0]])
 
 
+@pytest.mark.parametrize(
+    "route, rows, error",
+    [
+        (rref, [[1], [3, 4]], ShapeMismatchError),
+        (rref, [], ShapeMismatchError),
+        (rref, [[]], ShapeMismatchError),
+        (rref, [[0.1, 1]], FieldMismatchError),
+        (rref, [[True, 1]], FieldMismatchError),
+        (rref, [["1/2", 1]], FieldMismatchError),
+        (svd, [["1", "2"], ["3", "4"]], FieldMismatchError),
+        (svd, [[1, 2], [3]], ShapeMismatchError),
+        (svd, [[1j, 2], [3, 4]], FieldMismatchError),
+        (rank_decompose_rref, [[1.0, 2.0]], FieldMismatchError),
+        (rank_decompose_svd, [[False, 2.0]], FieldMismatchError),
+    ],
+)
+def test_matrix_intake_refuses_ragged_rows_and_foreign_scalars(route, rows, error):
+    with pytest.raises(error):
+        route(rows)
+
+
+@pytest.mark.parametrize("route", [rref, svd, rank_decompose_rref, rank_decompose_svd])
+def test_matrix_intake_refuses_other_fields_and_orders(route):
+    field = COMPLEX if route in (svd, rank_decompose_svd) else REAL
+    with pytest.raises(FieldMismatchError):
+        route(DenseTensor.matrix([[1, 2], [3, 4]], field))
+    with pytest.raises(ShapeMismatchError):
+        route(DenseTensor.vector([1, 2], RATIONAL))
+
+
+@pytest.mark.parametrize("route", [svd, rank_decompose_svd])
+def test_svd_of_a_rational_beyond_the_float_range_is_a_value_error(route):
+    huge = DenseTensor.matrix([[10**400, 1], [0, 1]], RATIONAL)
+    with pytest.raises(ValueError, match="float range"):
+        route(huge)
+    assert rank_decompose_rref(huge).r == 2
+
+
+def test_svd_reads_a_rational_tensor_as_its_float_values():
+    rows = [[F(1, 3), F(-2)], [F(5, 7), F(1, 10)]]
+    assert svd(DenseTensor.matrix(rows, RATIONAL)) == svd([[float(x) for x in r] for r in rows])
+    assert rank_decompose_svd(DenseTensor.matrix(rows, RATIONAL)) == rank_decompose_svd(rows)
+
+
 def test_rank_agreement_small():
     rng = random.Random(13)
     for _ in range(40):

@@ -2,10 +2,11 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tenalg.scalars import RATIONAL, from_json
+from tenalg.scalars import COMPLEX, RATIONAL, REAL, coerce, from_json
 
 
 def reference(obj):
@@ -59,3 +60,29 @@ _rational_like = st.tuples(_space, _sign, _digits, _tail, _space).map("".join)
 @example("-1/" + "7" * 4301)
 def test_rational_from_json_agrees_with_fraction(obj):
     assert outcome(lambda o: from_json(RATIONAL, o), obj) == outcome(reference, obj)
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize(
+    "value",
+    [10**400, -(10**400), Fraction(10**400, 3), Fraction(-(10**309))],
+    ids=["int", "negative-int", "fraction", "negative-fraction"],
+)
+def test_coerce_beyond_the_float_range_is_a_value_error(field, value):
+    with pytest.raises(ValueError, match="float range") as info:
+        coerce(field, value)
+    assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize(
+    "field, obj",
+    [(COMPLEX, obj)
+     for obj in ([True, 1], [1, False], ["1.5", "2"], [[1], 2], [{}, 1], [None, 0], [10**400, 0], "1")]
+    + [(REAL, obj) for obj in (10**400, True, "1.5", [1.0])],
+    ids=["complex-bool-re", "complex-bool-im", "complex-strings", "complex-list", "complex-dict",
+         "complex-null", "complex-huge", "complex-string", "real-huge", "real-bool", "real-string",
+         "real-list"],
+)
+def test_real_and_complex_parts_from_json_must_be_json_numbers_in_the_float_range(field, obj):
+    with pytest.raises(ValueError):
+        from_json(field, obj)

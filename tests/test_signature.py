@@ -1,10 +1,12 @@
 import io
 import random
+from fractions import Fraction as F
 
 import pytest
 
 from tenalg import (
     DenseTensor,
+    FieldMismatchError,
     PiecewiseLinearPath,
     oracle_signature,
     path_signature,
@@ -70,6 +72,26 @@ def test_constant_path_gives_unit_exactly():
 def test_empty_path_rejected():
     with pytest.raises(ValueError):
         PiecewiseLinearPath([])
+
+
+@pytest.mark.parametrize(
+    "points", [[["1.5", "2"]], [[True, 0.0]], [[0.0, None]], [[1j, 0.0]]]
+)
+def test_path_points_enter_the_real_field_through_coerce(points):
+    with pytest.raises(FieldMismatchError):
+        PiecewiseLinearPath(points)
+
+
+def test_path_point_beyond_the_float_range_is_a_value_error():
+    with pytest.raises(ValueError, match="float range"):
+        PiecewiseLinearPath([[0, 0], [10**400, 1]])
+    assert PiecewiseLinearPath([[F(1, 4), 2]]).points == ((0.25, 2.0),)
+
+
+def test_segment_signature_refuses_a_string_increment():
+    with pytest.raises(FieldMismatchError):
+        segment_signature(["1.0", "2.0"], 2)
+    assert segment_signature([1, 2], 2).interval == (0.0, 1.0)
 
 
 def test_two_segment_level2():
@@ -200,6 +222,11 @@ def test_read_csv_with_header():
 def test_read_csv_bad_row():
     with pytest.raises(ValueError):
         read_path_csv("0,0\nbad,row\n")
+
+
+def test_read_csv_field_over_the_csv_limit_is_a_value_error():
+    with pytest.raises(ValueError, match="field limit"):
+        read_path_csv("1," + "7" * 200_000 + "\n")
 
 
 def test_read_csv_empty():
