@@ -17,7 +17,7 @@ import sys
 
 from . import __version__, algebra, expr, rank, scalars, signature
 from .dense import tensor_from_json
-from .scalars import COMPLEX, RATIONAL, REAL
+from .scalars import COMPLEX, MAX_DIGITS, RATIONAL, REAL
 
 
 def _reject_constant(name: str):
@@ -101,30 +101,18 @@ def _decomposition_json(dec: rank.RankDecomposition, shape) -> dict:
 # -- subcommand handlers ------------------------------------------------------
 
 
-# Most decimal digits `tenalg dim` prints: CPython's default limit on converting
-# an int to a string, fixed here so the output never depends on the interpreter.
-MAX_DIM_DIGITS = 4300
-
-
 def _cmd_dim(args) -> int:
     d, N = args.d, args.N
     # the dimension is at least d ** N, so a large N is refused before the power is built
-    if d < 2 or N < (MAX_DIM_DIGITS + 1) / math.log10(d):
+    if d < 2 or N < (MAX_DIGITS + 1) / math.log10(d):
         value = algebra.truncated_dim(d, N)
-        if value < 10**MAX_DIM_DIGITS:
+        if value < 10**MAX_DIGITS:
             print(value)
             return 0
     raise ValueError(
         f"the level-{N} truncated algebra over R^{d} has a dimension of more than "
-        f"{MAX_DIM_DIGITS} decimal digits"
+        f"{MAX_DIGITS} decimal digits"
     )
-
-
-def _load_matrix(path: str):
-    t = tensor_from_json(_read_json(path))
-    if t.order != 2:
-        raise ValueError(f"expected an order-2 tensor, got order {t.order}")
-    return t
 
 
 def _decompose_matrix(t, method: str) -> rank.RankDecomposition:
@@ -134,13 +122,13 @@ def _decompose_matrix(t, method: str) -> rank.RankDecomposition:
 
 
 def _cmd_rank(args) -> int:
-    dec = _decompose_matrix(_load_matrix(args.file), args.method)
+    dec = _decompose_matrix(tensor_from_json(_read_json(args.file)), args.method)
     print(dec.r)
     return 0
 
 
 def _cmd_decompose(args) -> int:
-    t = _load_matrix(args.file)
+    t = tensor_from_json(_read_json(args.file))
     dec = _decompose_matrix(t, args.method)
     if args.json:
         _print_json(_decomposition_json(dec, t.shape))
@@ -163,15 +151,7 @@ def _factor_result(args):
         return expr.factor_greedy(e, args.method.split("-")[1]), None
     if field not in (REAL, COMPLEX):
         raise ValueError("ALS factoring needs --field real or --field complex")
-    return expr.factor_heuristic_higher_order(
-        e,
-        args.max_rank,
-        field,
-        seed=args.seed,
-        sweeps=args.sweeps,
-        restarts=args.restarts,
-        tol=args.tol_als,
-    )
+    return expr.factor_heuristic_higher_order(e, args.max_rank, field)
 
 
 def _cmd_factor(args) -> int:
@@ -279,10 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     q.add_argument("--field", choices=list(scalars.FIELDS), default=None)
     q.add_argument("--max-rank", type=int, default=4)
-    q.add_argument("--seed", type=int, default=expr.ALS_SEED)
-    q.add_argument("--sweeps", type=int, default=expr.ALS_SWEEPS)
-    q.add_argument("--restarts", type=int, default=expr.ALS_RESTARTS)
-    q.add_argument("--tol-als", type=float, default=expr.ALS_TOL)
     q.add_argument("--json", action="store_true")
     q.set_defaults(func=_cmd_factor)
 

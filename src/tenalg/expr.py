@@ -56,15 +56,12 @@ __all__ = [
     "factor_heuristic_higher_order",
     "term_factor_vectors",
     "expr_to_json",
-    "expr_from_json",
-    "ALS_SEED",
     "ALS_SWEEPS",
     "ALS_RESTARTS",
     "ALS_TOL",
 ]
 
-# ALS defaults; every knob is also a keyword of factor_heuristic_higher_order
-ALS_SEED = 0
+# the fixed ALS schedule of factor_heuristic_higher_order
 ALS_SWEEPS = 500
 ALS_RESTARTS = 20
 ALS_TOL = 1e-8
@@ -188,6 +185,8 @@ def _tokenize(text: str):
         if m is None:
             raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
         if m.lastgroup == "num":
+            if max(map(len, m.group().split("/"))) > scalars.MAX_DIGITS:
+                raise ExprSyntaxError(f"a number with more than {scalars.MAX_DIGITS} digits", pos)
             try:
                 tokens.append(("num", Fraction(m.group()), pos))
             except ZeroDivisionError:
@@ -622,23 +621,17 @@ def _als_fit(target, unfolded, r, field, rng, sweeps, tol) -> Tuple[float, Optio
 
 
 def factor_heuristic_higher_order(
-    e: TensorExpr,
-    max_rank: int,
-    field: str = REAL,
-    *,
-    seed: int = ALS_SEED,
-    sweeps: int = ALS_SWEEPS,
-    restarts: int = ALS_RESTARTS,
-    tol: float = ALS_TOL,
+    e: TensorExpr, max_rank: int, field: str = REAL
 ) -> Tuple[TensorExpr, str]:
     """ALS sweep over candidate ranks 1..max_rank for order >= 3 expressions.
 
     Returns ``(expression, status)``.  On the first rank whose fit re-expands
-    within ``tol`` (max-component residual) the factored expression is
+    within ``ALS_TOL`` (max-component residual) the factored expression is
     returned with status ``"verified-upper-bound"``; this is an upper bound
     on the rank, never a minimality claim.  If no candidate rank fits, the
     input's contributing terms are returned unchanged with status
-    ``"failed"``.  Restart ``i`` draws from ``random.Random(seed + i)``, so
+    ``"failed"``.  Each rank gets ``ALS_RESTARTS`` fits of at most
+    ``ALS_SWEEPS`` sweeps; restart ``i`` draws from ``random.Random(i)``, so
     results are reproducible no matter how restarts are scheduled.
     """
     if e.terms and e.order < 3:
@@ -650,12 +643,6 @@ def factor_heuristic_higher_order(
         raise ValueError("heuristic factoring works over the real or complex field")
     if max_rank < 1:
         raise ValueError("max_rank must be >= 1")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    if sweeps < 1:
-        raise ValueError("sweeps must be >= 1")
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     if not _live_terms(e.terms):
         return TensorExpr((), field), "verified-upper-bound"
     tensor, basis = to_coefficient_tensor(e)
@@ -664,9 +651,9 @@ def factor_heuristic_higher_order(
         return TensorExpr((), field), "verified-upper-bound"
     unfolded = _unfoldings(tensor.shape, target)
     for r in range(1, max_rank + 1):
-        for restart in range(restarts):
-            rng = random.Random(seed + restart)
-            _, terms = _als_fit(target, unfolded, r, field, rng, sweeps, tol)
+        for restart in range(ALS_RESTARTS):
+            rng = random.Random(restart)
+            _, terms = _als_fit(target, unfolded, r, field, rng, ALS_SWEEPS, ALS_TOL)
             if terms is not None:
                 return _factored(basis, terms, field), "verified-upper-bound"
     return TensorExpr(_live_terms(e.terms), e.field), "failed"
@@ -717,41 +704,3 @@ def expr_to_json(e: TensorExpr) -> dict:
             for t in e.terms
         ],
     }
-
-
-def _json_array(obj, key: str, what: str) -> list:
-    """``obj[key]``, where ``obj`` must be a JSON object holding an array there."""
-    if not isinstance(obj, dict) or type(obj.get(key)) is not list:
-        raise ValueError(f"{what} must be a JSON object with a {key!r} array")
-    return obj[key]
-
-
-def expr_from_json(obj: dict) -> TensorExpr:
-    """Read the JSON AST that :func:`expr_to_json` writes.  Malformed input
-    raises :class:`ValueError`, and real and complex scalars must be finite."""
-    raw_terms = _json_array(obj, "terms", "an expression")
-    field = scalars.check_field(obj.get("field", RATIONAL))
-    terms, values = [], []
-    for t in raw_terms:
-        raw_slots = _json_array(t, "slots", "each term")
-        if "coefficient" not in t:
-            raise ValueError("each term must have a 'coefficient'")
-        coeff = scalars.from_json(field, t["coefficient"])
-        values.append(coeff)
-        slots = []
-        for sv in raw_slots:
-            if type(sv) is not list or not all(
-                type(p) is list and len(p) == 2 and type(p[0]) is str for p in sv
-            ):
-                raise ValueError(
-                    f"a slot must be a JSON array of [symbol, coefficient] pairs whose "
-                    f"symbols are strings, got {sv!r}"
-                )
-            entries = [(sym, scalars.from_json(field, c)) for sym, c in sv]
-            values.extend(c for _, c in entries)
-            slots.append(SlotVector(entries))
-        terms.append(Term(coeff, tuple(slots)))
-    scalars.check_finite(field, values)
-    out = TensorExpr(tuple(terms), field)
-    _validate(out.terms)
-    return out

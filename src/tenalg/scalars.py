@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
@@ -28,6 +29,11 @@ _TYPES = {RATIONAL: Fraction, REAL: float, COMPLEX: complex}
 
 # absolute + relative tolerance for float/complex component comparison
 EPS_F = 1e-9
+
+# Most digits in one run of digits that tenalg reads, the largest magnitude
+# of a decimal exponent and the most digits `tenalg dim` prints: CPython's
+# default int/str limit, fixed so that no interpreter setting widens input.
+MAX_DIGITS = 4300
 
 
 class FieldMismatchError(ValueError):
@@ -146,23 +152,40 @@ def to_json(field: str, value):
     return [value.real, value.imag]
 
 
+_DIGIT_RUN = re.compile(r"\d[\d_]*")
+# a decimal literal with an exponent, as Fraction(str) reads it
+_DECIMAL_WITH_EXPONENT = re.compile(
+    r"\s*[-+]?(?=\d|\.\d)(?:\d*|\d+(?:_\d+)*)(?:\.(?:\d*|\d+(?:_\d+)*))?[eE]([-+]?\d+(?:_\d+)*)\s*"
+)
+
+
 def from_json(field: str, obj):
     """Decode one scalar from the JSON tensor formats.
 
-    A rational is a JSON integer or any string ``Fraction`` accepts.  A plain
-    ASCII ``p``, ``-p``, ``p/q`` or ``-p/q``, which is what :func:`to_json`
-    writes, is split into ints directly, skipping ``Fraction``'s regex; every
-    other string goes through ``Fraction``, so the accepted set, the values
-    and the error messages are those of ``Fraction(str)``.
+    A rational is a JSON integer or a string ``Fraction`` accepts, within two
+    bounds: a run of digits holds at most ``MAX_DIGITS`` digits, and a decimal
+    exponent is at most ``MAX_DIGITS`` in magnitude.  A plain ASCII ``p``,
+    ``-p``, ``p/q`` or ``-p/q`` of at most ``MAX_DIGITS`` characters, which is
+    what :func:`to_json` writes, is split into ints directly, skipping
+    ``Fraction``'s regex; every other string within the bounds goes through
+    ``Fraction``, so the accepted set, the values and the error messages are
+    those of ``Fraction(str)``.
     """
     if field == RATIONAL:
         if isinstance(obj, bool) or not isinstance(obj, (str, int)):
             raise ValueError(f"rational scalars must be 'p/q' strings, got {obj!r}")
         try:
-            if type(obj) is str and obj.isascii():
-                num, slash, den = obj.partition("/")
-                if num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
-                    return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+            if type(obj) is str:
+                if len(obj) <= MAX_DIGITS and obj.isascii():
+                    num, slash, den = obj.partition("/")
+                    if num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+                        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+                # both bounds are checked before Fraction builds any int
+                if any(len(run) - run.count("_") > MAX_DIGITS for run in _DIGIT_RUN.findall(obj)):
+                    raise ValueError(f"a rational scalar string has a run of more than {MAX_DIGITS} digits")
+                exponent = _DECIMAL_WITH_EXPONENT.fullmatch(obj)
+                if exponent and abs(int(exponent[1])) > MAX_DIGITS:
+                    raise ValueError(f"a rational scalar string has a decimal exponent beyond ±{MAX_DIGITS}")
             return Fraction(obj)
         except ZeroDivisionError:
             raise ValueError(f"rational scalar {obj!r} has a zero denominator") from None

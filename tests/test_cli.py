@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from tenalg import algebra, rank
+from tenalg import algebra, expr, rank
 from tenalg.cli import main
 
 from test_acceptance import _golden_commands
@@ -67,6 +67,28 @@ def test_rank_svd(tmp_path, capsys):
     f.write_text(A_JSON, encoding="utf-8")
     code, out, _ = run(capsys, "rank", str(f), "--method", "svd")
     assert code == 0 and out == "1\n"
+
+
+@pytest.mark.parametrize("command", ["rank", "decompose"])
+@pytest.mark.parametrize("method", ["rref", "svd"])
+def test_order_3_tensor_is_refused_on_both_routes(tmp_path, capsys, command, method):
+    f = tmp_path / "T.json"
+    f.write_text('{"shape": [1, 1, 2], "field": "rational", "coeffs": ["1", "2"]}', encoding="utf-8")
+    code, out, err = run(capsys, command, str(f), "--method", method)
+    assert (code, out, err) == (1, "", "error: expected an order-2 tensor, got order 3\n")
+
+
+@pytest.mark.parametrize(
+    "coeff", ["1e10000000", "1e-10000000", "1" * 5000], ids=["exponent", "negative-exponent", "digits"]
+)
+def test_rank_refuses_a_rational_beyond_the_digit_bound_at_once(tmp_path, capsys, coeff):
+    f = tmp_path / "big.json"
+    f.write_text(f'{{"shape": [1, 1], "field": "rational", "coeffs": ["{coeff}"]}}', encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "rank", str(f))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "") and err.startswith("error: ") and "4300" in err
+    assert "set_int_max_str_digits" not in err
 
 
 def test_decompose_json_golden(tmp_path, capsys):
@@ -143,24 +165,19 @@ def test_factor_greedy_real_field_is_user_error(capsys):
     assert err == "error: greedy factoring works over the rational field\n"
 
 
-@pytest.mark.parametrize(
-    "option, message",
-    [
-        (["--restarts", "0"], "error: restarts must be >= 1\n"),
-        (["--sweeps", "0"], "error: sweeps must be >= 1\n"),
-        (["--tol-als", "nan"], "error: tol must be a finite number >= 0, got nan\n"),
-        (["--tol-als", "-1"], "error: tol must be a finite number >= 0, got -1.0\n"),
-    ],
-    ids=["restarts-0", "sweeps-0", "tol-nan", "tol-negative"],
-)
-def test_factor_als_options_that_can_never_fit_are_user_errors(capsys, option, message):
-    code, out, err = run(capsys, "factor", "u1@v1@w1", "--method", "als", *option)
-    assert (code, out, err) == (1, "", message)
+@pytest.mark.parametrize("option", ["--seed", "--sweeps", "--restarts", "--tol-als"])
+def test_factor_has_a_fixed_als_schedule(capsys, option):
+    code, out, _ = run(capsys, "factor", "--help")
+    assert code == 0 and "--max-rank" in out and option not in out
+    code, out, err = run(capsys, "factor", "u1@v1@w1", "--method", "als", option, "3")
+    assert (code, out) == (1, "") and "unrecognized arguments" in err
 
 
-def test_factor_als_failure_prints_only_contributing_terms(capsys):
+def test_factor_als_failure_prints_only_contributing_terms(capsys, monkeypatch):
+    monkeypatch.setattr(expr, "ALS_RESTARTS", 2)
+    monkeypatch.setattr(expr, "ALS_SWEEPS", 50)
     z = "u1@v1@w1 + u1@v2@w2 - u2@v1@w2 + u2@v2@w1"
-    options = ["--method", "als", "--max-rank", "2", "--restarts", "2", "--sweeps", "50"]
+    options = ["--method", "als", "--max-rank", "2"]
     code, out, _ = run(capsys, "factor", "(a1 - a1)@b1@c1 + " + z, *options)
     assert code == 0 and out == z + "\nterms: 4\nstatus: failed\n"
     # the printed expression is valid input
@@ -572,7 +589,7 @@ def test_format_closure_sig_feeds_algebra(tmp_path, capsys):
 # escapes it is a bug.  Most generated inputs are well formed with at most
 # one fault, so the kernels run too.  The work stays bounded: nesting depth
 # <= 4, sizes inside the coefficient budget, --oracle <= 50, --max-rank <= 3,
-# --sweeps <= 20.
+# and ALS runs 2 restarts of at most 10 sweeps.
 
 _ERROR_LINE = re.compile(r"^(error:|numerical failure:|tenalg( \w+)?: error:)", re.M)
 
@@ -719,10 +736,6 @@ _options = {
         ("--route", st.sampled_from(["rref", "svd"])),
         ("--field", _often(_field_name, st.just("quaternion"))),
         ("--max-rank", _int_text(-1, 3)),
-        ("--sweeps", _int_text(-1, 20)),
-        ("--restarts", _int_text(-1, 3)),
-        ("--seed", _often(st.integers(-5, 5).map(str), st.just("1" + "0" * 30))),
-        ("--tol-als", _often(st.just("1e-8"), st.sampled_from(["0", "-1", "nan", "inf", "x"]))),
         ("--json", None),
     ],
     "expand": [("--json", None)],
@@ -746,8 +759,7 @@ def _cli_cases(draw):
     elif command in ("factor", "expand"):
         argv.append(draw(_expression))
         if command == "factor":
-            # the ALS defaults are 500 sweeps and 20 restarts: keep every run small
-            argv += ["--max-rank", "2", "--sweeps", "10", "--restarts", "2"]
+            argv += ["--max-rank", "2"]
     elif command == "algebra":
         op = draw(_often(st.sampled_from(["mul", "inv", "project"]), st.just("add")))
         argv += [op, "FILE0", "FILE1"][: draw(_often(st.just(3 if op == "mul" else 2), st.integers(1, 3)))]
@@ -768,7 +780,10 @@ def _cli_cases(draw):
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_cli_cases())
 @example((["sig", "FILE0", "--depth", "2"], [b"0,0\n1e200,1\n", b""]))  # exit 2
-def test_main_exits_0_1_or_2_and_never_raises(tmp_path, address_space_cap, case):
+def test_main_exits_0_1_or_2_and_never_raises(tmp_path, address_space_cap, monkeypatch, case):
+    # the ALS schedule is 20 restarts of up to 500 sweeps: keep every run small
+    monkeypatch.setattr(expr, "ALS_RESTARTS", 2)
+    monkeypatch.setattr(expr, "ALS_SWEEPS", 10)
     argv, blobs = case
     paths = []
     for k, blob in enumerate(blobs):

@@ -29,7 +29,6 @@ from tenalg.expr import (
     SlotVector,
     TensorExpr,
     Term,
-    expr_from_json,
     expr_to_json,
     infer_bases,
     term_factor_vectors,
@@ -124,6 +123,23 @@ def test_parse_coefficient_forms():
     e = parse("1/2 a1@b1 - 3/4 a2@b1")
     assert e.terms[0].coefficient == F(1, 2)
     assert e.terms[1].coefficient == F(-3, 4)
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [("1" * 4301 + " a@b", 0), ("a@b + 1/" + "2" * 4301 + " a@c", 6), ("(a1 - " + "3" * 5000 + " a2)@b", 6)],
+    ids=["integer", "denominator", "slot-coefficient"],
+)
+def test_parse_refuses_a_number_beyond_the_digit_bound_at_its_position(text, position):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(text)
+    assert err.value.position == position
+    assert str(err.value) == f"a number with more than 4300 digits (at position {position})"
+
+
+def test_parse_reads_numbers_up_to_the_digit_bound():
+    e = parse("9" * 4300 + "/" + "7" * 4300 + " a@b")
+    assert e.terms[0].coefficient == F(int("9" * 4300), int("7" * 4300))
 
 
 def test_parse_parenthesized_combos():
@@ -416,9 +432,16 @@ def test_heuristic_complex_z_two_terms():
     assert ok or residual <= 1e-8
 
 
-def test_heuristic_failure_is_a_status():
+@pytest.fixture
+def short_als(monkeypatch):
+    """A shorter ALS schedule for tests that only need a run to fail."""
+    monkeypatch.setattr(expr_module, "ALS_RESTARTS", 2)
+    monkeypatch.setattr(expr_module, "ALS_SWEEPS", 50)
+
+
+def test_heuristic_failure_is_a_status(short_als):
     e = parse(Z_EXPR)
-    f, status = factor_heuristic_higher_order(e, 1, REAL, restarts=3, sweeps=100)
+    f, status = factor_heuristic_higher_order(e, 1, REAL)
     assert status == "failed"
     assert f == e
 
@@ -427,8 +450,8 @@ def test_heuristic_failure_is_a_status():
 DEAD_Z_EXPR = "(a1 - a1)@b1@c1 + " + Z_EXPR
 
 
-def test_heuristic_failure_drops_dead_terms():
-    f, status = factor_heuristic_higher_order(parse(DEAD_Z_EXPR), 2, REAL, restarts=2, sweeps=50)
+def test_heuristic_failure_drops_dead_terms(short_als):
+    f, status = factor_heuristic_higher_order(parse(DEAD_Z_EXPR), 2, REAL)
     assert status == "failed"
     assert f == parse(Z_EXPR) and len(f.terms) == 4
 
@@ -440,11 +463,11 @@ def test_heuristic_failure_drops_dead_terms():
         (factor_exact_order2, E),
         (lambda e: factor_greedy(e, "left"), X0B),
         (lambda e: factor_greedy(e, "right"), "(a1 - a1)@b1 + " + X0B),
-        (lambda e: factor_heuristic_higher_order(e, 2, REAL, restarts=2, sweeps=50), DEAD_Z_EXPR),
+        (lambda e: factor_heuristic_higher_order(e, 2, REAL), DEAD_Z_EXPR),
     ],
     ids=["exact", "exact-polynomial", "greedy-left", "greedy-right-dead-term", "als-failed"],
 )
-def test_factored_rational_output_parses_back(factor, text):
+def test_factored_rational_output_parses_back(short_als, factor, text):
     # every route whose result is rational: exact and greedy (no status) and a failed ALS fit
     f = factor(parse(text))
     f = f[0] if isinstance(f, tuple) else f
@@ -459,22 +482,6 @@ def test_verified_als_output_has_no_zero_slot():
     assert status == "verified-upper-bound" and len(f.terms) == 1
     assert not any(sv.is_zero() for t in f.terms for sv in t.slots)
     assert "(0)" not in render(f)
-
-
-@pytest.mark.parametrize(
-    "options, message",
-    [
-        ({"restarts": 0}, "restarts must be >= 1"),
-        ({"sweeps": 0}, "sweeps must be >= 1"),
-        ({"tol": math.nan}, "tol must be a finite number >= 0"),
-        ({"tol": math.inf}, "tol must be a finite number >= 0"),
-        ({"tol": -1e-8}, "tol must be a finite number >= 0"),
-    ],
-    ids=["restarts-0", "sweeps-0", "tol-nan", "tol-inf", "tol-negative"],
-)
-def test_heuristic_rejects_options_that_can_never_fit(options, message):
-    with pytest.raises(ValueError, match=message):
-        factor_heuristic_higher_order(parse("u1@v1@w1"), 1, REAL, **options)
 
 
 def test_heuristic_field_monotonicity_on_z():
@@ -573,10 +580,10 @@ def test_unfoldings_of_a_2x3x4_tensor():
     assert unfolded[2][1] == [1, 5, 9, 13, 17, 21]
 
 
-def test_heuristic_never_verifies_nan_factors(monkeypatch):
+def test_heuristic_never_verifies_nan_factors(monkeypatch, short_als):
     monkeypatch.setattr(expr_module, "_solve_linear", lambda A, B: [[math.nan] * len(A) for _ in B])
     e = parse(Z_EXPR)
-    f, status = factor_heuristic_higher_order(e, 3, REAL, restarts=2, sweeps=10)
+    f, status = factor_heuristic_higher_order(e, 3, REAL)
     assert status == "failed" and f == e
 
 
@@ -605,48 +612,23 @@ def test_heuristic_rejects_rational_field():
 
 
 def test_exact_rejects_non_rational():
-    obj = {
-        "field": "real",
-        "order": 2,
-        "terms": [{"coefficient": 1.0, "slots": [[["a1", 1.0]], [["b1", 1.0]]]}],
-    }
+    slots = (SlotVector((("a1", 1.0),)), SlotVector((("b1", 1.0),)))
     with pytest.raises(FieldMismatchError):
-        factor_exact_order2(expr_from_json(obj))
+        factor_exact_order2(TensorExpr((Term(1.0, slots),), REAL))
 
 
 # -- JSON AST -----------------------------------------------------------------------
 
 
-def test_expr_json_round_trip():
-    e = parse(E)
-    assert expr_from_json(expr_to_json(e)) == e
-
-
-_TERM = {"coefficient": 1.0, "slots": [[["a1", 1.0]], [["b1", 1.0]]]}
-
-
-@pytest.mark.parametrize(
-    "obj",
-    [
-        [],
-        {"field": "real"},
-        {"field": "real", "terms": {"a": 1}},
-        {"field": "real", "terms": [5]},
-        {"field": "real", "terms": [{"coefficient": 1.0}]},
-        {"field": "real", "terms": [{"coefficient": 1.0, "slots": "a1"}]},
-        {"field": "real", "terms": [{"slots": [[["a1", 1.0]]]}]},
-        {"field": "real", "terms": [{"coefficient": 1.0, "slots": [["a1", 1.0]]}]},
-        {"field": "real", "terms": [{"coefficient": 1.0, "slots": [[[1, 1.0]]]}]},
-        {"field": "real", "terms": [{"coefficient": 1.0, "slots": [[["a1"]]]}]},
-        {"field": "real", "terms": [dict(_TERM, coefficient=math.nan)]},
-        {"field": "real", "terms": [{"coefficient": 1.0, "slots": [[["a1", math.inf]]]}]},
-        {"field": "complex", "terms": [dict(_TERM, coefficient=[0.0, math.nan])]},
-        {"field": "rational", "terms": [dict(_TERM, coefficient="1/0")]},
-    ],
-)
-def test_expr_from_json_refuses_malformed_input_with_value_error(obj):
-    with pytest.raises(ValueError):
-        expr_from_json(obj)
+def test_expr_to_json_writes_real_coefficients_as_numbers():
+    slots = (SlotVector((("a1", 1.0), ("a2", -0.5))), SlotVector((("b1", 2.0),)))
+    obj = expr_to_json(TensorExpr((Term(3, slots),), REAL))
+    assert obj == {
+        "field": "real",
+        "order": 2,
+        "terms": [{"coefficient": 3.0, "slots": [[["a1", 1.0], ["a2", -0.5]], [["b1", 2.0]]]}],
+    }
+    assert type(obj["terms"][0]["coefficient"]) is float
 
 
 def test_expr_json_structure():

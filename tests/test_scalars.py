@@ -1,5 +1,8 @@
 """The JSON scalar decoder: a rational decodes exactly as ``Fraction`` would."""
 
+import fractions
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,13 +13,19 @@ from tenalg.scalars import COMPLEX, RATIONAL, REAL, coerce, from_json
 
 
 def reference(obj):
-    """Plain ``Fraction(obj)`` behind the decoder's type check and zero-denominator message."""
+    """Plain ``Fraction(obj)`` behind the decoder's type check, its zero-denominator
+    message and its bound on a decimal exponent, which is found with
+    ``Fraction``'s own literal grammar."""
     if isinstance(obj, bool) or not isinstance(obj, (str, int)):
         raise ValueError(f"rational scalars must be 'p/q' strings, got {obj!r}")
     try:
-        return Fraction(obj)
+        value = Fraction(obj)
     except ZeroDivisionError:
         raise ValueError(f"rational scalar {obj!r} has a zero denominator") from None
+    literal = fractions._RATIONAL_FORMAT.match(obj) if isinstance(obj, str) else None
+    if literal and literal["exp"] and abs(int(literal["exp"])) > 4300:
+        raise ValueError("a rational scalar string has a decimal exponent beyond ±4300")
+    return value
 
 
 def outcome(decode, obj):
@@ -56,10 +65,65 @@ _rational_like = st.tuples(_space, _sign, _digits, _tail, _space).map("".join)
 @example("-")
 @example("")
 @example("1_000/3")
-@example("9" * 4301)
-@example("-1/" + "7" * 4301)
+@example("9" * 4300)
+@example("-1/" + "7" * 4300)
+@example("-" + "9" * 4300 + "/" + "7" * 4300)
+@example("1e4300")
+@example("-2.5E-4_300")
+@example("0e10000")
+@example(" .5E+9_999\t")
+@example("e10000")
+@example("1/2e10000")
 def test_rational_from_json_agrees_with_fraction(obj):
     assert outcome(lambda o: from_json(RATIONAL, o), obj) == outcome(reference, obj)
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ("9" * 4301, "a run of more than 4300 digits"),
+        ("-1/" + "7" * 4301, "a run of more than 4300 digits"),
+        ("0." + "0" * 4300 + "1", "a run of more than 4300 digits"),
+        ("1_" * 4300 + "1", "a run of more than 4300 digits"),
+        ("1e4301", "a decimal exponent beyond ±4300"),
+        ("-1.5e-1_000_000 ", "a decimal exponent beyond ±4300"),
+    ],
+    ids=["integer", "denominator", "decimal", "underscores", "exponent", "negative-exponent"],
+)
+def test_rational_beyond_the_digit_bound_is_refused_with_its_own_message(obj, message):
+    with pytest.raises(ValueError, match=message):
+        from_json(RATIONAL, obj)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no interpreter limit to lift")
+def test_lifting_the_interpreter_limit_does_not_widen_the_bound():
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for obj in ("9" * 4301, "1/" + "7" * 4301, "1" * 4301 + ".5"):
+            with pytest.raises(ValueError, match="a run of more than 4300 digits"):
+                from_json(RATIONAL, obj)
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+_mantissa = st.sampled_from(["1", "-2.5", "0.001", ".5", "7.", "+3", " 12_3"])
+_exponent = st.one_of(st.integers(-(10**7), 10**7), st.integers(-4310, 4310))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mantissa, st.sampled_from("eE"), _exponent)
+@example("1", "e", 10**7)
+@example("1", "e", -(10**7))
+def test_rational_decimal_exponent_is_bounded(mantissa, e, exponent):
+    text = f"{mantissa}{e}{exponent}"
+    if abs(exponent) <= 4300:
+        assert from_json(RATIONAL, text) == Fraction(text)
+        return
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="decimal exponent beyond ±4300"):
+        from_json(RATIONAL, text)
+    assert time.perf_counter() - start < 0.05
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
