@@ -13,6 +13,7 @@ absolute/relative tolerance ``EPS_F``.
 from __future__ import annotations
 
 import cmath
+import fractions
 import math
 import re
 from fractions import Fraction
@@ -153,10 +154,6 @@ def to_json(field: str, value):
 
 
 _DIGIT_RUN = re.compile(r"\d[\d_]*")
-# a decimal literal with an exponent, as Fraction(str) reads it
-_DECIMAL_WITH_EXPONENT = re.compile(
-    r"\s*[-+]?(?=\d|\.\d)(?:\d*|\d+(?:_\d+)*)(?:\.(?:\d*|\d+(?:_\d+)*))?[eE]([-+]?\d+(?:_\d+)*)\s*"
-)
 
 
 def from_json(field: str, obj):
@@ -183,8 +180,9 @@ def from_json(field: str, obj):
                 # both bounds are checked before Fraction builds any int
                 if any(len(run) - run.count("_") > MAX_DIGITS for run in _DIGIT_RUN.findall(obj)):
                     raise ValueError(f"a rational scalar string has a run of more than {MAX_DIGITS} digits")
-                exponent = _DECIMAL_WITH_EXPONENT.fullmatch(obj)
-                if exponent and abs(int(exponent[1])) > MAX_DIGITS:
+                # the exponent is found with the running Fraction's own grammar
+                literal = fractions._RATIONAL_FORMAT.match(obj)
+                if literal and literal["exp"] and abs(int(literal["exp"])) > MAX_DIGITS:
                     raise ValueError(f"a rational scalar string has a decimal exponent beyond ±{MAX_DIGITS}")
             return Fraction(obj)
         except ZeroDivisionError:

@@ -86,7 +86,7 @@ def test_rational_from_json_agrees_with_fraction(obj):
         ("0." + "0" * 4300 + "1", "a run of more than 4300 digits"),
         ("1_" * 4300 + "1", "a run of more than 4300 digits"),
         ("1e4301", "a decimal exponent beyond ±4300"),
-        ("-1.5e-1_000_000 ", "a decimal exponent beyond ±4300"),
+        ("-1.5e-1000000 ", "a decimal exponent beyond ±4300"),
     ],
     ids=["integer", "denominator", "decimal", "underscores", "exponent", "negative-exponent"],
 )
@@ -107,7 +107,7 @@ def test_lifting_the_interpreter_limit_does_not_widen_the_bound():
         sys.set_int_max_str_digits(before)
 
 
-_mantissa = st.sampled_from(["1", "-2.5", "0.001", ".5", "7.", "+3", " 12_3"])
+_mantissa = st.sampled_from(["1", "-2.5", "0.001", ".5", "7.", "+3", " 12"])
 _exponent = st.one_of(st.integers(-(10**7), 10**7), st.integers(-4310, 4310))
 
 
