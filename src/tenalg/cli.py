@@ -24,10 +24,17 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name} in JSON input")
 
 
+def _json_int(text: str) -> int:
+    # refused here, not by int(), so that no interpreter setting widens input
+    if len(text) - text.startswith("-") > MAX_DIGITS:
+        raise ValueError(f"a JSON integer in the input has more than {MAX_DIGITS} digits")
+    return int(text)
+
+
 def _read_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh, parse_constant=_reject_constant)
+            return json.load(fh, parse_constant=_reject_constant, parse_int=_json_int)
         except RecursionError:
             raise ValueError(f"JSON input {path!r} is nested too deeply") from None
 
@@ -48,7 +55,7 @@ def _print_json(obj) -> None:
 
 
 def _vector_block(values, field):
-    strs = [str(v) if field == RATIONAL else repr(v) for v in values]
+    strs = [scalars.rational_str(v) if field == RATIONAL else repr(v) for v in values]
     width = max(len(s) for s in strs)
     return ["( " + s.rjust(width) + " )" for s in strs]
 
@@ -115,21 +122,17 @@ def _cmd_dim(args) -> int:
     )
 
 
-def _decompose_matrix(t, method: str) -> rank.RankDecomposition:
-    if method == "rref":
-        return rank.rank_decompose_rref(t)
-    return rank.rank_decompose_svd(t)
-
-
 def _cmd_rank(args) -> int:
-    dec = _decompose_matrix(tensor_from_json(_read_json(args.file)), args.method)
-    print(dec.r)
+    print(rank.matrix_rank(tensor_from_json(_read_json(args.file)), args.method))
     return 0
 
 
 def _cmd_decompose(args) -> int:
     t = tensor_from_json(_read_json(args.file))
-    dec = _decompose_matrix(t, args.method)
+    if args.method == "rref":
+        dec = rank.rank_decompose_rref(t)
+    else:
+        dec = rank.rank_decompose_svd(t)
     if args.json:
         _print_json(_decomposition_json(dec, t.shape))
     else:

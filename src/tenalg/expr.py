@@ -318,7 +318,7 @@ def parse(text: str) -> TensorExpr:
 
 def _scalar_str(field: str, value) -> str:
     if field == RATIONAL:
-        return str(value)
+        return scalars.rational_str(value)
     if field == REAL:
         return repr(value)
     re_part, im_part = value.real, value.imag
@@ -541,27 +541,34 @@ def factor_greedy(e: TensorExpr, direction: str = "left") -> TensorExpr:
 def _solve_linear(A, B):
     """Solve ``A x = b`` for each ``b`` in ``B`` by Gaussian elimination with
     partial pivoting on ``[A | B^T]``, which picks the pivots from ``A``
-    alone; works for float/complex."""
+    alone; works for float/complex.  The pivot is the first row of largest
+    magnitude, and each row update and back-substitution sum runs in column
+    order."""
     n = len(A)
     width = n + len(B)
-    M = [list(A[i]) + [b[i] for b in B] for i in range(n)]
+    M = [[*a, *b] for a, b in zip(A, zip(*B))]
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(M[r][col]))
-        if abs(M[piv][col]) < 1e-250:
+        piv, big = col, abs(M[col][col])
+        for r in range(col + 1, n):
+            mag = abs(M[r][col])
+            if mag > big:
+                piv, big = r, mag
+        if big < 1e-250:
             raise ArithmeticError("singular system")
         M[col], M[piv] = M[piv], M[col]
-        inv = 1.0 / M[col][col]
+        prow = M[col][col:]
+        inv = 1.0 / prow[0]
         for r in range(col + 1, n):
-            f = M[r][col] * inv
+            row = M[r]
+            f = row[col] * inv
             if f != 0:
-                for c in range(col, width):
-                    M[r][c] -= f * M[col][c]
+                row[col:] = [a - f * b for a, b in zip(row[col:], prow)]
     X = []
     for j in range(n, width):
         x = [0] * n
         for r in range(n - 1, -1, -1):
-            s = M[r][j] - sum(M[r][c] * x[c] for c in range(r + 1, n))
-            x[r] = s / M[r][r]
+            row = M[r]
+            x[r] = (row[j] - sum(map(operator.mul, row[r + 1 : n], x[r + 1 :]))) / row[r]
         X.append(x)
     return X
 

@@ -13,6 +13,10 @@ Two routes:
   neither overflow nor underflow, with the rank read off the singular values
   and D1^T = U', D2 = S'V'^T.
 
+:func:`matrix_rank` computes the rank alone on either route: the pivot count
+of the integer elimination, or the singular values of a column-pivoted QR
+factor with no singular vectors formed.
+
 Rank decompositions are never unique; every emitted decomposition is checked
 by re-expansion in :func:`_residual`, which also serves verification and ALS.
 For tensors of order three and up no exact rank routine is offered (that
@@ -38,6 +42,7 @@ __all__ = [
     "rank_decompose_rref",
     "svd",
     "rank_decompose_svd",
+    "matrix_rank",
     "verify_decomposition",
     "decomposition_terms",
 ]
@@ -52,6 +57,9 @@ EPS_SVD = 1e-10
 _SWEEP_TOL = 1e-13
 # sweep cap before declaring non-convergence
 SVD_MAX_SWEEPS = 10_000
+# the rank-only SVD route drops a trailing block of pivoted QR once its norm is
+# at most this fraction of the EPS_RANK threshold (see _qr_jacobi_sigma)
+_QR_DROP = 1e-3
 
 
 class ConvergenceError(RuntimeError):
@@ -92,26 +100,14 @@ def _rows(t: DenseTensor) -> list:
     return [t.coeffs[i : i + m] for i in range(0, t.size, m)]
 
 
-def rref(M) -> Tuple[List[List[Fraction]], List[int]]:
-    """Reduced row echelon form over the rationals.
+def _bareiss(A: DenseTensor) -> Tuple[List[List[int]], List[int], int]:
+    """Fraction-free Gauss-Jordan elimination of a rational matrix over ints.
 
-    ``M`` is a rational order-2 tensor or a list of equally long rows of
-    ints and Fractions.  Returns the echelon matrix and the pivot columns
-    (1-based, in order).  Pivoting takes the first non-zero entry scanning
-    top to bottom; exact arithmetic needs no magnitude pivoting, and this
-    choice keeps the emitted decompositions deterministic.
-
-    The elimination runs over Python ints (fraction-free Gauss-Jordan,
-    Bareiss 1968): each row is first scaled by the lcm of its denominators,
-    which keeps its row space, and with ``p`` the current pivot and ``prev``
-    the one before it every other row becomes ``(p * row - f * pivot_row) //
-    prev``.  Every division is exact, all pivot entries end up equal to the
-    last pivot ``delta`` and the integer matrix equals ``delta`` times the
-    echelon form, whose entries are built once as ``Fraction(a, delta)``.
-    The echelon form is unique, so this is the same matrix the elimination
-    over Fractions gives.
+    Returns ``(B, pivots, delta)``: the integer matrix B equals ``delta``
+    times the reduced row echelon form, and ``pivots`` lists the pivot
+    columns (1-based, in order), so their count is the rank.  See
+    :func:`rref` for the method.
     """
-    A = _matrix(M, RATIONAL)
     n, m = A.shape
     B = [integer_row(row)[1] for row in _rows(A)]
     pivots: List[int] = []
@@ -141,7 +137,30 @@ def rref(M) -> Tuple[List[List[Fraction]], List[int]]:
         row += 1
         if row == n:
             break
-    return [[Fraction(a, prev) for a in bi] for bi in B], pivots
+    return B, pivots, prev
+
+
+def rref(M) -> Tuple[List[List[Fraction]], List[int]]:
+    """Reduced row echelon form over the rationals.
+
+    ``M`` is a rational order-2 tensor or a list of equally long rows of
+    ints and Fractions.  Returns the echelon matrix and the pivot columns
+    (1-based, in order).  Pivoting takes the first non-zero entry scanning
+    top to bottom; exact arithmetic needs no magnitude pivoting, and this
+    choice keeps the emitted decompositions deterministic.
+
+    The elimination runs over Python ints (fraction-free Gauss-Jordan,
+    Bareiss 1968): each row is first scaled by the lcm of its denominators,
+    which keeps its row space, and with ``p`` the current pivot and ``prev``
+    the one before it every other row becomes ``(p * row - f * pivot_row) //
+    prev``.  Every division is exact, all pivot entries end up equal to the
+    last pivot ``delta`` and the integer matrix equals ``delta`` times the
+    echelon form, whose entries are built once as ``Fraction(a, delta)``.
+    The echelon form is unique, so this is the same matrix the elimination
+    over Fractions gives.
+    """
+    B, pivots, delta = _bareiss(_matrix(M, RATIONAL))
+    return [[Fraction(a, delta) for a in bi] for bi in B], pivots
 
 
 def rank_decompose_rref(M) -> RankDecomposition:
@@ -191,24 +210,37 @@ def _gram_schmidt_complete(cols: List[List[float]], n: int) -> List[List[float]]
     return basis
 
 
-def _jacobi_svd_tall(M: List[List[float]]):
-    """One-sided Jacobi on an n x m matrix with n >= m.
+def _scaled_columns(cols) -> Tuple[int, List[List[float]]]:
+    """``(e, cols * 2^-e)`` with 2^e the power of two at or above the largest |entry|.
+
+    Scaling by a power of two is exact, so input in the normal range gives
+    the same bits as unscaled arithmetic, while squared column norms can
+    neither overflow nor underflow to zero merely because the input is huge
+    or tiny.
+    """
+    e = math.frexp(max((abs(x) for col in cols for x in col), default=0.0))[1]
+    return e, [[math.ldexp(x, -e) for x in col] for col in cols]
+
+
+def _unscaled(sig: List[float], e: int) -> List[float]:
+    """Singular values of the scaled matrix, scaled back by 2^e."""
+    try:
+        return [math.ldexp(sg, e) for sg in sig]
+    except OverflowError:
+        raise ValueError("a singular value of the matrix exceeds the float range") from None
+
+
+def _jacobi_sweeps(w: List[List[float]], v=None) -> List[float]:
+    """One-sided Jacobi sweeps on the columns ``w``, in place.
 
     Rotates column pairs until every pair is orthogonal in the normalized
-    sense |w_p . w_q| <= _SWEEP_TOL * |w_p| |w_q| (zero columns skipped).
-    Returns (U as n columns list, sigma list of length m, V as m columns
-    list).
-
-    The sweeps run on M * 2^-e, with 2^e the power of two at or above the
-    largest |entry|, and sigma is scaled back by 2^e at the end.  Scaling by
-    a power of two is exact, so input in the normal range gives the same
-    bits as the unscaled sweeps, while the squared column norms can neither
-    overflow nor underflow to zero merely because the input is huge or tiny.
+    sense |w_p . w_q| <= _SWEEP_TOL * |w_p| |w_q| (zero columns skipped), and
+    returns the squared column norms.  The columns of ``v``, when given,
+    take the same rotations; they never feed back into ``w``, so the norms
+    have the same bits either way.  Raises :class:`ConvergenceError` once
+    the sweep cap is exhausted.
     """
-    n, m = len(M), len(M[0])
-    e = math.frexp(max((abs(x) for row in M for x in row), default=0.0))[1]
-    w = [[math.ldexp(x, -e) for x in col] for col in zip(*M)]  # columns
-    v = [[1.0 if i == j else 0.0 for i in range(m)] for j in range(m)]
+    m = len(w)
     # squared column norms, recomputed only for the two columns a rotation changes
     norm2 = [sum(map(operator.mul, col, col)) for col in w]
     if m > 1 and any(norm2):
@@ -233,27 +265,37 @@ def _jacobi_svd_tall(M: List[List[float]]):
                     w[q] = new_q = [-s * x + c * y for x, y in zip(wp, wq)]
                     norm2[p] = sum(map(operator.mul, new_p, new_p))
                     norm2[q] = sum(map(operator.mul, new_q, new_q))
-                    vp, vq = v[p], v[q]
-                    v[p] = [c * x + s * y for x, y in zip(vp, vq)]
-                    v[q] = [-s * x + c * y for x, y in zip(vp, vq)]
+                    if v is not None:
+                        vp, vq = v[p], v[q]
+                        v[p] = [c * x + s * y for x, y in zip(vp, vq)]
+                        v[q] = [-s * x + c * y for x, y in zip(vp, vq)]
             if off <= _SWEEP_TOL:
                 break
         else:
             raise ConvergenceError(
                 f"SVD did not converge within {SVD_MAX_SWEEPS} sweeps"
             )
-    sig = [math.sqrt(a) for a in norm2]
+    return norm2
+
+
+def _jacobi_svd_tall(M: List[List[float]]):
+    """One-sided Jacobi SVD of an n x m matrix with n >= m.
+
+    Returns (U as n columns list, sigma list of length m, V as m columns
+    list).  The sweeps run on M * 2^-e (:func:`_scaled_columns`), and sigma
+    is scaled back by 2^e at the end.
+    """
+    n, m = len(M), len(M[0])
+    e, w = _scaled_columns(list(zip(*M)))
+    v = [[1.0 if i == j else 0.0 for i in range(m)] for j in range(m)]
+    sig = [math.sqrt(a) for a in _jacobi_sweeps(w, v)]
     order = sorted(range(m), key=lambda j: -sig[j])
     w = [w[j] for j in order]
     v = [v[j] for j in order]
     sig = [sig[j] for j in order]
     u_cols = [[x / sg for x in col] for col, sg in zip(w, sig) if sg > 0.0]
     u_cols = _gram_schmidt_complete(u_cols, n)
-    try:
-        sig = [math.ldexp(sg, e) for sg in sig]
-    except OverflowError:
-        raise ValueError("a singular value of the matrix exceeds the float range") from None
-    return u_cols, sig, v
+    return u_cols, _unscaled(sig, e), v
 
 
 def svd(M) -> Tuple[List[List[float]], List[float], List[List[float]]]:
@@ -288,6 +330,77 @@ def numeric_rank(sigma: Sequence[float], n: int, m: int) -> int:
         return 0
     thresh = EPS_RANK * smax * max(n, m)
     return sum(1 for s in sigma if s > thresh)
+
+
+def _qr_jacobi_sigma(cols, n: int, m: int) -> List[float]:
+    """Singular values, non-increasing, of the matrix with columns ``cols``.
+
+    ``cols`` holds the min(n, m) columns, each of length max(n, m), of the
+    tall orientation of an n x m matrix.  No singular vector is formed.
+    Householder QR with column pivoting (Businger & Golub 1965) stops at
+    step k once the trailing block's Frobenius norm is at most ``_QR_DROP *
+    EPS_RANK * max(n, m)`` times the largest column norm.  That norm is at
+    most sigma_max, so by Weyl's inequality dropping the block moves each
+    singular value by at most ``_QR_DROP`` times the rank threshold of
+    :func:`numeric_rank`.  One-sided Jacobi then runs on the k kept rows of
+    R, taken as columns (Drmač & Veselić 2008), and the min(n, m) - k
+    dropped values are zeros.  The input is scaled and the result scaled back as in
+    :func:`svd`.
+    """
+    e, a = _scaled_columns(cols)
+    p = len(a)
+    # squared norms of the columns' active parts: rows j.. at step j
+    norm2 = [sum(map(operator.mul, col, col)) for col in a]
+    drop2 = (_QR_DROP * EPS_RANK * max(n, m)) ** 2 * max(norm2, default=0.0)
+    R = []
+    for j in range(p):
+        if sum(norm2[j:]) <= drop2:
+            break
+        piv = max(range(j, p), key=norm2.__getitem__)
+        a[j], a[piv] = a[piv], a[j]
+        norm2[j], norm2[piv] = norm2[piv], norm2[j]
+        for row in R:
+            row[j], row[piv] = row[piv], row[j]
+        x = a[j]
+        alpha = -math.copysign(math.sqrt(norm2[j]), x[0])
+        # reflector I - u u^T / h with u = x - alpha e_1 maps x to alpha e_1
+        h = alpha * (alpha - x[0])
+        u = [x[0] - alpha, *x[1:]]
+        row = [0.0] * j + [alpha]
+        for c in range(j + 1, p):
+            y = a[c]
+            f = sum(map(operator.mul, u, y)) / h
+            y = [yi - f * ui for yi, ui in zip(y, u)]
+            row.append(y[0])
+            a[c] = y = y[1:]
+            norm2[c] = sum(map(operator.mul, y, y))
+        R.append(row)
+    sig = sorted(map(math.sqrt, _jacobi_sweeps(R)), reverse=True)
+    return _unscaled(sig + [0.0] * (p - len(sig)), e)
+
+
+def matrix_rank(M, method: str) -> int:
+    """Rank of an order-2 tensor, computing nothing but the rank.
+
+    ``method`` is ``"rref"`` or ``"svd"``, the routes of
+    :func:`rank_decompose_rref` and :func:`rank_decompose_svd`, with the
+    same intake and errors.  ``"rref"`` counts the pivots of the integer
+    elimination behind :func:`rref`, so it equals
+    ``rank_decompose_rref(M).r``.  ``"svd"`` applies :func:`numeric_rank`
+    to singular values from pivoted QR and sigma-only Jacobi
+    (:func:`_qr_jacobi_sigma`); it equals ``rank_decompose_svd(M).r`` unless
+    a singular value lies within ``_QR_DROP`` times the rank threshold, plus
+    rounding, of that threshold.
+    """
+    if method == "rref":
+        return len(_bareiss(_matrix(M, RATIONAL))[1])
+    if method != "svd":
+        raise ValueError(f"unknown rank method {method!r}; expected 'rref' or 'svd'")
+    t = _matrix(M, REAL)
+    scalars.check_finite(REAL, t.coeffs)
+    n, m = t.shape
+    rows = _rows(t)
+    return numeric_rank(_qr_jacobi_sigma(rows if n < m else list(zip(*rows)), n, m), n, m)
 
 
 def rank_decompose_svd(M) -> RankDecomposition:

@@ -144,10 +144,27 @@ def json_int(obj, what: str) -> int:
     return obj
 
 
+def rational_str(value: Fraction) -> str:
+    """``str(value)`` for printing, refusing a numerator or denominator of
+    more than ``MAX_DIGITS`` digits with :class:`ValueError`.
+
+    ``str`` itself stops at the interpreter's int/str limit, CPython's
+    default being ``MAX_DIGITS``; the length check holds the bound under any
+    setting.
+    """
+    try:
+        text = str(value)
+        if len(text) <= MAX_DIGITS or max(map(len, text.lstrip("-").split("/"))) <= MAX_DIGITS:
+            return text
+    except ValueError:  # beyond the interpreter's int/str limit
+        pass
+    raise ValueError(f"a rational result has a numerator or denominator of more than {MAX_DIGITS} digits")
+
+
 def to_json(field: str, value):
     """Encode one scalar for the JSON tensor formats."""
     if field == RATIONAL:
-        return str(value)
+        return rational_str(value)
     if field == REAL:
         return float(value)
     return [value.real, value.imag]

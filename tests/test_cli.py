@@ -91,6 +91,34 @@ def test_rank_refuses_a_rational_beyond_the_digit_bound_at_once(tmp_path, capsys
     assert "set_int_max_str_digits" not in err
 
 
+def test_a_json_integer_beyond_the_digit_bound_is_a_user_error(tmp_path, capsys):
+    f = tmp_path / "big.json"
+    f.write_text('{"shape": [1, 1], "field": "rational", "coeffs": [' + "1" * 5000 + "]}", encoding="utf-8")
+    for method in ("rref", "svd"):
+        code, out, err = run(capsys, "rank", str(f), "--method", method)
+        assert (code, out) == (1, "")
+        assert err == "error: a JSON integer in the input has more than 4300 digits\n"
+    f.write_text('{"shape": [1, 1], "field": "rational", "coeffs": [-' + "1" * 4300 + "]}", encoding="utf-8")
+    assert run(capsys, "rank", str(f)) == (0, "1\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["algebra", "inv", "FILE"], '{"d": 1, "N": 2, "field": "rational", "levels": [["1"], ["' + "7" * 3000 + '"], ["0"]]}'),
+        (["expand", f"{'7' * 3000} a1@(" + "7" * 3000 + " b1)"], None),
+    ],
+    ids=["algebra-inv", "expand"],
+)
+def test_a_rational_result_beyond_the_digit_bound_is_a_user_error(tmp_path, capsys, argv, text):
+    f = tmp_path / "x.json"
+    if text is not None:
+        f.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, *[str(f) if a == "FILE" else a for a in argv])
+    assert (code, out) == (1, "")
+    assert err == "error: a rational result has a numerator or denominator of more than 4300 digits\n"
+
+
 def test_decompose_json_golden(tmp_path, capsys):
     f = tmp_path / "A.json"
     f.write_text(A_JSON, encoding="utf-8")
@@ -369,12 +397,12 @@ def test_zero_denominator_and_non_finite_input_are_user_errors(tmp_path, capsys,
 
 @pytest.mark.parametrize("error", [TypeError, IndexError, KeyError])
 def test_internal_errors_are_not_reported_as_user_errors(tmp_path, monkeypatch, error):
-    def broken(t):
+    def broken(t, method):
         raise error("a bug in a kernel")
 
     f = tmp_path / "B.json"
     f.write_text(B_JSON, encoding="utf-8")
-    monkeypatch.setattr(rank, "rank_decompose_rref", broken)
+    monkeypatch.setattr(rank, "matrix_rank", broken)
     with pytest.raises(error):
         main(["rank", str(f)])
 

@@ -601,6 +601,62 @@ def test_solve_linear_batch_matches_one_solve_per_rhs(field):
         assert expr_module._solve_linear(A, B) == [expr_module._solve_linear(A, [b])[0] for b in B]
 
 
+def _reference_solve_linear(A, B):
+    """The ALS solver as first written: the reference ``_solve_linear`` must match bit for bit."""
+    n = len(A)
+    width = n + len(B)
+    M = [list(A[i]) + [b[i] for b in B] for i in range(n)]
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(M[r][col]))
+        if abs(M[piv][col]) < 1e-250:
+            raise ArithmeticError("singular system")
+        M[col], M[piv] = M[piv], M[col]
+        inv = 1.0 / M[col][col]
+        for r in range(col + 1, n):
+            f = M[r][col] * inv
+            if f != 0:
+                for c in range(col, width):
+                    M[r][c] -= f * M[col][c]
+    X = []
+    for j in range(n, width):
+        x = [0] * n
+        for r in range(n - 1, -1, -1):
+            s = M[r][j] - sum(M[r][c] * x[c] for c in range(r + 1, n))
+            x[r] = s / M[r][r]
+        X.append(x)
+    return X
+
+
+@st.composite
+def linear_systems(draw):
+    """(A, B) over R or C: n x n with n in 1-3, one to three right-hand sides,
+    ties in magnitude, zeros and near-singular pivots included."""
+    n = draw(st.integers(1, 3))
+    parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300]), st.floats(-1e3, 1e3))
+    if draw(st.booleans()):
+        scalar = parts
+    else:
+        scalar = st.builds(complex, parts, parts)
+    A = draw(st.lists(st.lists(scalar, min_size=n, max_size=n), min_size=n, max_size=n))
+    B = draw(st.lists(st.lists(scalar, min_size=n, max_size=n), min_size=1, max_size=3))
+    return A, B
+
+
+def _solve_or_error(solve, A, B):
+    try:
+        return repr(solve(A, B))
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None, max_examples=500)
+@given(linear_systems())
+def test_solve_linear_matches_the_reference_bit_for_bit(system):
+    A, B = system
+    # repr tells -0.0 from 0.0 and shows NaNs, which == would not
+    assert _solve_or_error(expr_module._solve_linear, A, B) == _solve_or_error(_reference_solve_linear, A, B)
+
+
 def test_heuristic_rejects_low_order():
     with pytest.raises(ValueError):
         factor_heuristic_higher_order(parse(X0A), 2, REAL)

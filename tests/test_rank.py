@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import random
@@ -16,13 +17,15 @@ from tenalg import (
     DenseTensor,
     FieldMismatchError,
     ShapeMismatchError,
+    matrix_rank,
     rank_decompose_rref,
     rank_decompose_svd,
     rref,
     svd,
     verify_decomposition,
 )
-from tenalg.rank import ConvergenceError, decomposition_terms
+from tenalg.cli import main
+from tenalg.rank import EPS_RANK, ConvergenceError, decomposition_terms
 from tenalg.scalars import COMPLEX, EPS_F, RATIONAL, REAL, one, zero
 
 A = [[3, 4], [6, 8]]
@@ -32,6 +35,16 @@ M = [[3, 4, 2], [1, 2, 1], [0, -2, -1]]
 
 def random_int_matrix(rng, n, m, lo=-5, hi=5):
     return [[rng.randint(lo, hi) for _ in range(m)] for _ in range(n)]
+
+
+def svd_rank(M):
+    """The rank-only SVD route."""
+    return matrix_rank(M, "svd")
+
+
+def rref_rank(M):
+    """The rank-only exact route."""
+    return matrix_rank(M, "rref")
 
 
 # -- RREF --------------------------------------------------------------------
@@ -135,6 +148,18 @@ def test_rref_matches_fraction_elimination(M):
     assert all(type(x) is F for row in R for x in row)
     dec = rank_decompose_rref(M)
     assert dec.r == len(pivots) and [list(row) for row in dec.d2] == R[: dec.r]
+
+
+@settings(deadline=None, max_examples=300)
+@given(rational_matrices())
+@example([[F(0)] * 4] * 3)
+def test_rank_only_rref_route_counts_the_pivots_of_rref(M):
+    assert rref_rank(M) == len(rref(M)[1])
+
+
+def test_rank_only_routes_refuse_an_unknown_method():
+    with pytest.raises(ValueError, match="unknown rank method"):
+        matrix_rank([[1, 2], [3, 4]], "qr")
 
 
 def _double_row(R):
@@ -381,12 +406,35 @@ UNDERFLOW_8X8 = [
 ]
 
 
-def test_svd_rank_deficient_8x8_does_not_underflow():
-    dec = rank_decompose_svd(UNDERFLOW_8X8)
-    assert dec.r == 4
-    target = DenseTensor.matrix([[float(x) for x in row] for row in UNDERFLOW_8X8], REAL)
+# planted rank-5 integer matrix that divided by zero the same way
+UNDERFLOW_10X10 = [
+    [-3, -5, -15, -10, 22, -1, -7, -8, 0, -9],
+    [-3, 3, 4, 8, 11, 0, 3, 4, 3, 11],
+    [-3, 6, -11, -9, 0, 7, -9, 0, 1, 7],
+    [0, 0, -6, -3, -18, 3, -3, 9, -15, -6],
+    [6, 2, 16, 3, -12, -2, 6, -8, 15, 4],
+    [6, -9, -10, -4, -6, 1, -5, 3, -14, -20],
+    [6, -9, -10, -4, -6, 1, -5, 3, -14, -20],
+    [-15, 1, 0, -12, -5, -12, 7, -8, -5, -5],
+    [3, -5, -10, -13, 5, 0, -7, -12, 4, -13],
+    [18, -3, -2, 7, 14, 12, -10, -2, 15, 2],
+]
+
+
+def _check_rank_deficient(mat, r):
+    dec = rank_decompose_svd(mat)
+    assert dec.r == r == svd_rank(mat) == rref_rank(mat)
+    target = DenseTensor.matrix([[float(x) for x in row] for row in mat], REAL)
     ok, _ = verify_decomposition(target, decomposition_terms(dec))
     assert ok
+
+
+def test_svd_rank_deficient_8x8_does_not_underflow():
+    _check_rank_deficient(UNDERFLOW_8X8, 4)
+
+
+def test_svd_rank_deficient_10x10_does_not_underflow():
+    _check_rank_deficient(UNDERFLOW_10X10, 5)
 
 
 @st.composite
@@ -405,7 +453,9 @@ def planted_int_matrices(draw):
 @example([[1, 1], [1, 2]], -160)
 def test_svd_rank_invariant_under_extreme_scaling(mat, k):
     scaled = [[x * 10.0**k for x in row] for row in mat]
-    assert rank_decompose_svd(scaled).r == rank_decompose_svd(mat).r == rank_decompose_rref(mat).r
+    r = rank_decompose_rref(mat).r
+    assert rank_decompose_svd(scaled).r == rank_decompose_svd(mat).r == r
+    assert svd_rank(scaled) == svd_rank(mat) == rref_rank(mat) == r
 
 
 def test_svd_power_of_two_scaling_is_exact():
@@ -418,8 +468,22 @@ def test_svd_power_of_two_scaling_is_exact():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_svd_rejects_non_finite_entries(bad):
-    with pytest.raises(ValueError, match="finite"):
-        rank_decompose_svd([[1.0, bad], [0.0, 1.0]])
+    for route in (rank_decompose_svd, svd_rank):
+        with pytest.raises(ValueError, match="finite"):
+            route([[1.0, bad], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("route", [svd, svd_rank])
+def test_a_singular_value_beyond_the_float_range_is_a_value_error(route):
+    with pytest.raises(ValueError, match="singular value of the matrix exceeds the float range"):
+        route([[1e308, 1e308], [1e308, 1e308]])
+
+
+@pytest.mark.parametrize("route", [svd, svd_rank])
+def test_the_sweep_cap_raises_convergence_error(monkeypatch, route):
+    monkeypatch.setattr(rank_module, "SVD_MAX_SWEEPS", 0)
+    with pytest.raises(ConvergenceError, match="did not converge within 0 sweeps"):
+        route([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
 
 
 @pytest.mark.parametrize(
@@ -436,6 +500,12 @@ def test_svd_rejects_non_finite_entries(bad):
         (svd, [[1j, 2], [3, 4]], FieldMismatchError),
         (rank_decompose_rref, [[1.0, 2.0]], FieldMismatchError),
         (rank_decompose_svd, [[False, 2.0]], FieldMismatchError),
+        (rref_rank, [[1], [3, 4]], ShapeMismatchError),
+        (rref_rank, [[]], ShapeMismatchError),
+        (rref_rank, [[0.1, 1]], FieldMismatchError),
+        (svd_rank, [], ShapeMismatchError),
+        (svd_rank, [["1", "2"], ["3", "4"]], FieldMismatchError),
+        (svd_rank, [[1j, 2], [3, 4]], FieldMismatchError),
     ],
 )
 def test_matrix_intake_refuses_ragged_rows_and_foreign_scalars(route, rows, error):
@@ -443,21 +513,21 @@ def test_matrix_intake_refuses_ragged_rows_and_foreign_scalars(route, rows, erro
         route(rows)
 
 
-@pytest.mark.parametrize("route", [rref, svd, rank_decompose_rref, rank_decompose_svd])
+@pytest.mark.parametrize("route", [rref, svd, rank_decompose_rref, rank_decompose_svd, rref_rank, svd_rank])
 def test_matrix_intake_refuses_other_fields_and_orders(route):
-    field = COMPLEX if route in (svd, rank_decompose_svd) else REAL
+    field = COMPLEX if route in (svd, rank_decompose_svd, svd_rank) else REAL
     with pytest.raises(FieldMismatchError):
         route(DenseTensor.matrix([[1, 2], [3, 4]], field))
     with pytest.raises(ShapeMismatchError):
         route(DenseTensor.vector([1, 2], RATIONAL))
 
 
-@pytest.mark.parametrize("route", [svd, rank_decompose_svd])
+@pytest.mark.parametrize("route", [svd, rank_decompose_svd, svd_rank])
 def test_svd_of_a_rational_beyond_the_float_range_is_a_value_error(route):
     huge = DenseTensor.matrix([[10**400, 1], [0, 1]], RATIONAL)
     with pytest.raises(ValueError, match="float range"):
         route(huge)
-    assert rank_decompose_rref(huge).r == 2
+    assert rank_decompose_rref(huge).r == rref_rank(huge) == 2
 
 
 def test_svd_reads_a_rational_tensor_as_its_float_values():
@@ -472,6 +542,101 @@ def test_rank_agreement_small():
         n, m = rng.randint(1, 6), rng.randint(1, 6)
         mat = random_int_matrix(rng, n, m)
         assert rank_decompose_rref(mat).r == rank_decompose_svd(mat).r
+
+
+# -- the rank-only routes ------------------------------------------------------------
+
+
+def _random_orthogonal(rng, n):
+    """Product of n Householder reflections of Gaussian vectors, as a list of rows."""
+    Q = [[float(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(n):
+        v = [rng.gauss(0.0, 1.0) for _ in range(n)]
+        h = 2.0 / sum(x * x for x in v)
+        # Q <- Q (I - h v v^T)
+        Qv = [sum(q * x for q, x in zip(row, v)) for row in Q]
+        Q = [[q - h * qv * x for q, x in zip(row, v)] for row, qv in zip(Q, Qv)]
+    return Q
+
+
+@st.composite
+def planted_spectra(draw):
+    """(M, r): M = U diag(sigma) V^T with orthogonal U, V and sigma_max = scale,
+    every other singular value either far above the rank threshold, 5% to
+    10x above it, below 95% of it or zero.  The QR drop moves a singular value
+    by at most 1e-3 of the threshold, and forming M and the sweeps' rounding
+    by about 1e-15 * sigma_max * max(n, m), far inside the 5% gap."""
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    scale = draw(st.sampled_from([1.0, 3.7e-5, 1e200, 1e-200]))
+    thresh = EPS_RANK * max(n, m)
+    sigma = [1.0]
+    for _ in range(min(n, m) - 1):
+        kind = draw(st.sampled_from(["large", "above", "below", "zero"]))
+        if kind == "large":
+            sigma.append(draw(st.floats(1e-6, 1.0)))
+        elif kind == "above":
+            sigma.append(thresh * draw(st.floats(1.05, 10.0)))
+        elif kind == "below":
+            sigma.append(thresh * draw(st.floats(0.0, 0.95)))
+        else:
+            sigma.append(0.0)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    U, V = _random_orthogonal(rng, n), _random_orthogonal(rng, m)
+    M = [
+        [scale * sum(U[i][l] * s * V[j][l] for l, s in enumerate(sigma)) for j in range(m)]
+        for i in range(n)
+    ]
+    return M, sum(1 for s in sigma if s > thresh)
+
+
+@settings(deadline=None, max_examples=200)
+@given(planted_spectra())
+def test_rank_only_svd_route_agrees_with_the_decomposition_off_the_threshold(case):
+    """The decomposition's rank is ``numeric_rank`` of the ``svd`` singular
+    values, read before its reconstruction check: that check raises on some
+    of these inputs, those with a singular value just below the threshold."""
+    M, r = case
+    assert svd_rank(M) == rank_module.numeric_rank(svd(M)[1], len(M), len(M[0])) == r
+
+
+def _sigma_only_sweeps(M):
+    """Singular values from the shared sweep loop without V, as svd arranges them."""
+    n, m = len(M), len(M[0])
+    cols = list(zip(*M)) if n >= m else M
+    e, w = rank_module._scaled_columns(cols)
+    sig = sorted(map(math.sqrt, rank_module._jacobi_sweeps(w)), reverse=True)
+    return rank_module._unscaled(sig, e)
+
+
+def _planted(rng, n, m, r):
+    left = random_int_matrix(rng, n, r, -3, 3)
+    right = random_int_matrix(rng, r, m, -3, 3)
+    return [[sum(left[i][l] * right[l][j] for l in range(r)) for j in range(m)] for i in range(n)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sigma_only_sweeps_keep_every_bit_of_svd(seed):
+    rng = random.Random(seed)
+    n, m = rng.randint(1, 12), rng.randint(1, 12)
+    if seed % 2:
+        mat = [[rng.uniform(-1, 1) for _ in range(m)] for _ in range(n)]
+    else:
+        r = rng.randint(0, min(n, m))
+        mat = [[float(x) for x in row] for row in _planted(rng, n, m, r)]
+    assert _sigma_only_sweeps(mat) == svd(mat)[1]
+
+
+@pytest.mark.parametrize("method", ["rref", "svd"])
+def test_cli_rank_agrees_with_the_exact_decomposition_on_criterion_6(tmp_path, capsys, method):
+    """Acceptance criterion 6's 100 matrices, through ``tenalg rank``."""
+    rng = random.Random(600)
+    f = tmp_path / "M.json"
+    for _ in range(100):
+        n, m = rng.randint(1, 8), rng.randint(1, 8)
+        mat = [[rng.randint(-5, 5) for _ in range(m)] for _ in range(n)]
+        f.write_text(json.dumps({"shape": [n, m], "field": "rational", "coeffs": [str(x) for row in mat for x in row]}))
+        assert main(["rank", str(f), "--method", method]) == 0
+        assert capsys.readouterr().out == f"{rank_decompose_rref(mat).r}\n", mat
 
 
 # -- verification ------------------------------------------------------------------
