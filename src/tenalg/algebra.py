@@ -375,4 +375,4 @@ def dump_tt(x: TruncatedTensor) -> str:
 
 
 def load_tt(text: str) -> TruncatedTensor:
-    return tt_from_json(json.loads(text))
+    return tt_from_json(scalars.load_json(text))

@@ -20,23 +20,9 @@ from .dense import tensor_from_json
 from .scalars import COMPLEX, MAX_DIGITS, RATIONAL, REAL
 
 
-def _reject_constant(name: str):
-    raise ValueError(f"non-finite number {name} in JSON input")
-
-
-def _json_int(text: str) -> int:
-    # refused here, not by int(), so that no interpreter setting widens input
-    if len(text) - text.startswith("-") > MAX_DIGITS:
-        raise ValueError(f"a JSON integer in the input has more than {MAX_DIGITS} digits")
-    return int(text)
-
-
-def _read_json(path: str) -> dict:
+def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh, parse_constant=_reject_constant, parse_int=_json_int)
-        except RecursionError:
-            raise ValueError(f"JSON input {path!r} is nested too deeply") from None
+        return scalars.load_json(fh.read())
 
 
 class NonFiniteResultError(ArithmeticError):

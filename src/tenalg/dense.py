@@ -278,4 +278,4 @@ def dump_tensor(t: DenseTensor) -> str:
 
 
 def load_tensor(text: str) -> DenseTensor:
-    return tensor_from_json(json.loads(text))
+    return tensor_from_json(scalars.load_json(text))

@@ -173,7 +173,7 @@ class SlotBasis:
 # -- parsing -----------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<num>\d+(?:/\d+)?)|(?P<ident>[A-Za-z][A-Za-z0-9_^]*)|(?P<op>[@+\-*()])"
+    r"(?P<ws>\s+)|(?P<num>[0-9]+(?:/[0-9]+)?)|(?P<ident>[A-Za-z][A-Za-z0-9_^]*)|(?P<op>[@+\-*()])"
 )
 
 
@@ -185,12 +185,10 @@ def _tokenize(text: str):
         if m is None:
             raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
         if m.lastgroup == "num":
-            if max(map(len, m.group().split("/"))) > scalars.MAX_DIGITS:
-                raise ExprSyntaxError(f"a number with more than {scalars.MAX_DIGITS} digits", pos)
             try:
-                tokens.append(("num", Fraction(m.group()), pos))
-            except ZeroDivisionError:
-                raise ExprSyntaxError(f"zero denominator in {m.group()!r}", pos) from None
+                tokens.append(("num", scalars.rational_literal(m.group()), pos))
+            except ValueError as exc:
+                raise ExprSyntaxError(str(exc), pos) from None
         elif m.lastgroup == "ident":
             tokens.append(("ident", m.group(), pos))
         elif m.lastgroup == "op":

@@ -411,7 +411,9 @@ def rank_decompose_svd(M) -> RankDecomposition:
     r = numeric_rank(sig, n, m)
     d1 = tuple(tuple(U[i][l] for i in range(n)) for l in range(r))
     d2 = tuple(tuple(sig[l] * Vt[l][j] for j in range(m)) for l in range(r))
-    ok, res = _residual(REAL, t.coeffs, list(zip(d1, d2)))
+    # dropping singular values moves each entry by at most the largest of
+    # them: max|M - M_r| <= ||M - M_r||_2 = sigma_{r+1}
+    ok, res = _residual(REAL, t.coeffs, list(zip(d1, d2)), max(sig[r:], default=0.0))
     if not ok:
         raise ConvergenceError(f"SVD decomposition residual {res:.3e} exceeds tolerance")
     return RankDecomposition(r=r, d1=d1, d2=d2, field=REAL)
@@ -420,7 +422,7 @@ def rank_decompose_svd(M) -> RankDecomposition:
 # -- re-expansion checks --------------------------------------------------------
 
 
-def _residual(field: str, target: list, terms) -> Tuple[bool, float]:
+def _residual(field: str, target: list, terms, slack: float = 0.0) -> Tuple[bool, float]:
     """Re-expand a sum of rank-1 terms and compare it with ``target``.
 
     ``target`` is a flat row-major list; each term is a list of per-slot
@@ -430,8 +432,8 @@ def _residual(field: str, target: list, terms) -> Tuple[bool, float]:
     the rationals the check is exact and runs over ints: the target and each
     factor are scaled by the lcm of their own denominators (never by an
     entry, so a wrong factor cannot rescale itself into passing) and brought
-    to one common scale ``S``.  Otherwise ``ok`` means ``residual <= EPS_F +
-    EPS_F * max|target|``, and a NaN mismatch gives a NaN residual, never ok.
+    to one common scale ``S``.  Otherwise ``ok`` means ``residual <= EPS_F + EPS_F
+    * max|target| + slack``, and a NaN mismatch gives a NaN residual, never ok.
     """
     goal, lead = target, [1] * len(terms)
     if field == RATIONAL:
@@ -454,7 +456,7 @@ def _residual(field: str, target: list, terms) -> Tuple[bool, float]:
         return res == 0, res / S
     if any(map(math.isnan, mismatch)):
         return False, math.nan
-    return res <= scalars.EPS_F + scalars.EPS_F * max(map(abs, target), default=0.0), float(res)
+    return res <= scalars.EPS_F + scalars.EPS_F * max(map(abs, target), default=0.0) + slack, float(res)
 
 
 def verify_decomposition(target: DenseTensor, terms) -> Tuple[bool, float]:

@@ -13,9 +13,8 @@ absolute/relative tolerance ``EPS_F``.
 from __future__ import annotations
 
 import cmath
-import fractions
+import json
 import math
-import re
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
@@ -31,9 +30,9 @@ _TYPES = {RATIONAL: Fraction, REAL: float, COMPLEX: complex}
 # absolute + relative tolerance for float/complex component comparison
 EPS_F = 1e-9
 
-# Most digits in one run of digits that tenalg reads, the largest magnitude
-# of a decimal exponent and the most digits `tenalg dim` prints: CPython's
-# default int/str limit, fixed so that no interpreter setting widens input.
+# Most digits in a number that tenalg reads (on each side of a rational's
+# ``/``) and the most digits it prints: CPython's default int/str limit,
+# fixed so that no interpreter setting widens input.
 MAX_DIGITS = 4300
 
 
@@ -170,40 +169,36 @@ def to_json(field: str, value):
     return [value.real, value.imag]
 
 
-_DIGIT_RUN = re.compile(r"\d[\d_]*")
+def rational_literal(text: str) -> Fraction:
+    """The value of ``text`` in the one rational literal that tenalg reads, as
+    :func:`from_json` states it; :class:`ValueError` for any other text."""
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if text.isascii() and digits.isdigit() and (den.isdigit() or not slash):
+        if len(digits) > MAX_DIGITS or len(den) > MAX_DIGITS:
+            raise ValueError(f"a number with more than {MAX_DIGITS} digits")
+        try:
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
+    shown = repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
+    raise ValueError(f"a rational must be p, -p, p/q or -p/q in ASCII digits, got {shown}")
 
 
 def from_json(field: str, obj):
     """Decode one scalar from the JSON tensor formats.
 
-    A rational is a JSON integer or a string ``Fraction`` accepts, within two
-    bounds: a run of digits holds at most ``MAX_DIGITS`` digits, and a decimal
-    exponent is at most ``MAX_DIGITS`` in magnitude.  A plain ASCII ``p``,
-    ``-p``, ``p/q`` or ``-p/q`` of at most ``MAX_DIGITS`` characters, which is
-    what :func:`to_json` writes, is split into ints directly, skipping
-    ``Fraction``'s regex; every other string within the bounds goes through
-    ``Fraction``, so the accepted set, the values and the error messages are
-    those of ``Fraction(str)``.
+    A rational is a JSON integer or a string in the one rational literal,
+    the form :func:`to_json` writes: an optional ``-``, 1 to ``MAX_DIGITS``
+    ASCII digits, then optionally ``/`` and 1 to ``MAX_DIGITS`` ASCII digits
+    that are not all zeros.  :func:`rational_literal` reads it.
     """
     if field == RATIONAL:
-        if isinstance(obj, bool) or not isinstance(obj, (str, int)):
-            raise ValueError(f"rational scalars must be 'p/q' strings, got {obj!r}")
-        try:
-            if type(obj) is str:
-                if len(obj) <= MAX_DIGITS and obj.isascii():
-                    num, slash, den = obj.partition("/")
-                    if num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
-                        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
-                # both bounds are checked before Fraction builds any int
-                if any(len(run) - run.count("_") > MAX_DIGITS for run in _DIGIT_RUN.findall(obj)):
-                    raise ValueError(f"a rational scalar string has a run of more than {MAX_DIGITS} digits")
-                # the exponent is found with the running Fraction's own grammar
-                literal = fractions._RATIONAL_FORMAT.match(obj)
-                if literal and literal["exp"] and abs(int(literal["exp"])) > MAX_DIGITS:
-                    raise ValueError(f"a rational scalar string has a decimal exponent beyond ±{MAX_DIGITS}")
+        if type(obj) is str:
+            return rational_literal(obj)
+        if type(obj) is int:
             return Fraction(obj)
-        except ZeroDivisionError:
-            raise ValueError(f"rational scalar {obj!r} has a zero denominator") from None
+        raise ValueError(f"rational scalars must be 'p/q' strings, got {obj!r}")
     if field == REAL:
         return _json_number(obj, "real scalars must be numbers")
     what = "complex scalars must be [re, im] pairs of numbers"
@@ -219,3 +214,20 @@ def _json_number(obj, what: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ValueError(f"{what}, got {obj!r}")
     return _float(obj)
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name} in JSON input")
+
+
+def load_json(text: str):
+    """Parse a JSON document as every tenalg reader does: ``NaN`` and the
+    infinities are refused, an integer goes through :func:`rational_literal`
+    and so holds at most ``MAX_DIGITS`` digits under any int/str limit, and
+    too deep a nesting is a :class:`ValueError`."""
+    try:
+        return json.loads(
+            text, parse_constant=_reject_constant, parse_int=lambda digits: rational_literal(digits).numerator
+        )
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None

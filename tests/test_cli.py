@@ -79,16 +79,21 @@ def test_order_3_tensor_is_refused_on_both_routes(tmp_path, capsys, command, met
 
 
 @pytest.mark.parametrize(
-    "coeff", ["1e10000000", "1e-10000000", "1" * 5000], ids=["exponent", "negative-exponent", "digits"]
+    "coeff, message",
+    [
+        ("1e10000000", "error: a rational must be p, -p, p/q or -p/q in ASCII digits, got '1e10000000'\n"),
+        ("1e-10000000", "error: a rational must be p, -p, p/q or -p/q in ASCII digits, got '1e-10000000'\n"),
+        ("1" * 5000, "error: a number with more than 4300 digits\n"),
+    ],
+    ids=["exponent", "negative-exponent", "digits"],
 )
-def test_rank_refuses_a_rational_beyond_the_digit_bound_at_once(tmp_path, capsys, coeff):
+def test_rank_refuses_a_rational_beyond_the_digit_bound_at_once(tmp_path, capsys, coeff, message):
     f = tmp_path / "big.json"
     f.write_text(f'{{"shape": [1, 1], "field": "rational", "coeffs": ["{coeff}"]}}', encoding="utf-8")
     start = time.perf_counter()
     code, out, err = run(capsys, "rank", str(f))
     assert time.perf_counter() - start < 1
-    assert (code, out) == (1, "") and err.startswith("error: ") and "4300" in err
-    assert "set_int_max_str_digits" not in err
+    assert (code, out, err) == (1, "", message)
 
 
 def test_a_json_integer_beyond_the_digit_bound_is_a_user_error(tmp_path, capsys):
@@ -97,7 +102,7 @@ def test_a_json_integer_beyond_the_digit_bound_is_a_user_error(tmp_path, capsys)
     for method in ("rref", "svd"):
         code, out, err = run(capsys, "rank", str(f), "--method", method)
         assert (code, out) == (1, "")
-        assert err == "error: a JSON integer in the input has more than 4300 digits\n"
+        assert err == "error: a number with more than 4300 digits\n"
     f.write_text('{"shape": [1, 1], "field": "rational", "coeffs": [-' + "1" * 4300 + "]}", encoding="utf-8")
     assert run(capsys, "rank", str(f)) == (0, "1\n", "")
 

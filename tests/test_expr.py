@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tenalg.expr as expr_module
@@ -140,6 +140,49 @@ def test_parse_refuses_a_number_beyond_the_digit_bound_at_its_position(text, pos
 def test_parse_reads_numbers_up_to_the_digit_bound():
     e = parse("9" * 4300 + "/" + "7" * 4300 + " a@b")
     assert e.terms[0].coefficient == F(int("9" * 4300), int("7" * 4300))
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [("٣ a@b", 0), ("a@b + ３ a@c", 6), ("1/٤ a@b", 1), ("² a@b", 0)],
+    ids=["arabic-indic", "full-width", "arabic-indic-denominator", "superscript"],
+)
+def test_parse_reads_only_ascii_digits(text, position):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(text)
+    assert err.value.position == position
+
+
+# small integers, and repdigits of up to 4300 digits, which cost little entropy
+_magnitude = st.one_of(
+    st.integers(1, 10**6),
+    st.builds(lambda digit, n: digit * (10**n - 1) // 9, st.integers(1, 9), st.integers(1, 4300)),
+)
+_big_rational = st.builds(lambda sign, p, q: F(sign * p, q), st.sampled_from([1, -1]), _magnitude, _magnitude)
+
+
+@st.composite
+def _rational_expression(draw):
+    order = draw(st.integers(1, 3))
+
+    def slot(k):
+        symbols = draw(st.lists(st.sampled_from([f"{'abc'[k]}1", f"{'abc'[k]}2"]), min_size=1, max_size=2, unique=True))
+        return SlotVector([(sym, draw(_big_rational)) for sym in symbols])
+
+    return TensorExpr(tuple(
+        Term(draw(_big_rational), tuple(slot(k) for k in range(order)))
+        for _ in range(draw(st.integers(1, 3)))
+    ))
+
+
+_BIG = F(-(10**4300 - 1), 10**4300 - 2)
+
+
+@settings(deadline=None, max_examples=100)
+@given(_rational_expression())
+@example(TensorExpr((Term(_BIG, (SlotVector([("a1", _BIG), ("a2", 1 / _BIG)]), SlotVector([("b1", F(1))]))),)))
+def test_render_parse_round_trip_with_numbers_up_to_the_digit_bound(e):
+    assert parse(render(e)) == e
 
 
 def test_parse_parenthesized_combos():

@@ -592,11 +592,41 @@ def planted_spectra(draw):
 @settings(deadline=None, max_examples=200)
 @given(planted_spectra())
 def test_rank_only_svd_route_agrees_with_the_decomposition_off_the_threshold(case):
-    """The decomposition's rank is ``numeric_rank`` of the ``svd`` singular
-    values, read before its reconstruction check: that check raises on some
-    of these inputs, those with a singular value just below the threshold."""
     M, r = case
-    assert svd_rank(M) == rank_module.numeric_rank(svd(M)[1], len(M), len(M[0])) == r
+    assert svd_rank(M) == rank_decompose_svd(M).r == r
+
+
+def _just_under_the_threshold(seed):
+    """8x8 U diag(1e6, 5e5, 3e5, 7.2e-4, 0, ...) V^T: the fourth singular
+    value lies just under the rank threshold 1e-10 * 1e6 * 8 = 8e-4."""
+    rng = random.Random(seed)
+    U, V = _random_orthogonal(rng, 8), _random_orthogonal(rng, 8)
+    sigma = [1e6, 5e5, 3e5, 7.2e-4, 0.0, 0.0, 0.0, 0.0]
+    return [[sum(U[i][l] * s * V[j][l] for l, s in enumerate(sigma)) for j in range(8)] for i in range(8)]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_svd_decomposition_accepts_its_own_truncation(seed):
+    """Dropping sigma_4 moves an entry by up to 7.2e-4, more than the
+    EPS_F tolerance alone allows at these magnitudes (seeds 6 and 9)."""
+    assert rank_decompose_svd(_just_under_the_threshold(seed)).r == 3
+
+
+@pytest.mark.parametrize("where", ["d2", "d1"])
+def test_svd_decomposition_check_still_rejects_a_wrong_factor(monkeypatch, where):
+    real_svd = rank_module.svd
+
+    def corrupted_svd(matrix):
+        U, sig, Vt = real_svd(matrix)
+        if where == "d2":
+            Vt[0][0] += 1e-6  # moves D2 = S'V'^T by 1e-6 * 1e6 = 1
+        else:
+            U[0][1] += 1e-6
+        return U, sig, Vt
+
+    monkeypatch.setattr(rank_module, "svd", corrupted_svd)
+    with pytest.raises(ConvergenceError, match="residual"):
+        rank_decompose_svd(_just_under_the_threshold(6))
 
 
 def _sigma_only_sweeps(M):
