@@ -259,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("sig", help="truncated signature of a CSV path")
     q.add_argument("file")
     q.add_argument("--depth", type=int, required=True)
-    q.add_argument("--from", dest="s", type=float, default=0.0)
-    q.add_argument("--to", dest="t", type=float, default=1.0)
+    q.add_argument("--from", dest="s", type=scalars.real_literal, default=0.0)
+    q.add_argument("--to", dest="t", type=scalars.real_literal, default=1.0)
     q.add_argument(
         "--oracle",
         type=int,

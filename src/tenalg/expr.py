@@ -173,7 +173,7 @@ class SlotBasis:
 # -- parsing -----------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<num>[0-9]+(?:/[0-9]+)?)|(?P<ident>[A-Za-z][A-Za-z0-9_^]*)|(?P<op>[@+\-*()])"
+    r"(?P<ws>[ \t\r\n]+)|(?P<num>[0-9]+(?:/[0-9]+)?)|(?P<ident>[A-Za-z][A-Za-z0-9_^]*)|(?P<op>[@+\-*()])"
 )
 
 

@@ -8,14 +8,16 @@ Two routes:
   the check of M = D1^T D2 both run over Python ints (fraction-free
   Gauss-Jordan on rows scaled by the lcm of their denominators); Fractions
   appear only in the input and in the emitted echelon form;
-* floating route over the reals: one-sided Jacobi SVD built from scratch,
-  run on the input scaled by a power of two so that huge or tiny entries
-  neither overflow nor underflow, with the rank read off the singular values
-  and D1^T = U', D2 = S'V'^T.
+* floating route over the reals: one kernel, Householder QR with column
+  pivoting stopped once the trailing block is negligible, then one-sided
+  Jacobi on the kept rows of R (Drmač & Veselić 2008), run on the input
+  scaled by a power of two so that huge or tiny entries neither overflow
+  nor underflow; the rank is read off the singular values and D1^T = U',
+  D2 = S'V'^T.
 
 :func:`matrix_rank` computes the rank alone on either route: the pivot count
-of the integer elimination, or the singular values of a column-pivoted QR
-factor with no singular vectors formed.
+of the integer elimination, or the same kernel's singular values with no
+singular vectors formed.
 
 Rank decompositions are never unique; every emitted decomposition is checked
 by re-expansion in :func:`_residual`, which also serves verification and ALS.
@@ -57,8 +59,9 @@ EPS_SVD = 1e-10
 _SWEEP_TOL = 1e-13
 # sweep cap before declaring non-convergence
 SVD_MAX_SWEEPS = 10_000
-# the rank-only SVD route drops a trailing block of pivoted QR once its norm is
-# at most this fraction of the EPS_RANK threshold (see _qr_jacobi_sigma)
+# the SVD kernel drops a trailing block of pivoted QR once its norm is at most
+# this fraction of the EPS_RANK threshold, reporting its singular values as 0
+# (see _qr_jacobi)
 _QR_DROP = 1e-3
 
 
@@ -200,9 +203,9 @@ def _gram_schmidt_complete(cols: List[List[float]], n: int) -> List[List[float]]
         v[k] = 1.0
         for _ in range(2):  # re-orthogonalize once for stability
             for b in basis:
-                dot = sum(x * y for x, y in zip(v, b))
+                dot = sum(map(operator.mul, v, b))
                 v = [x - dot * y for x, y in zip(v, b)]
-        norm = math.sqrt(sum(x * x for x in v))
+        norm = math.sqrt(sum(map(operator.mul, v, v)))
         if norm > 1e-8:
             basis.append([x / norm for x in v])
     if len(basis) != n:
@@ -278,87 +281,55 @@ def _jacobi_sweeps(w: List[List[float]], v=None) -> List[float]:
     return norm2
 
 
-def _jacobi_svd_tall(M: List[List[float]]):
-    """One-sided Jacobi SVD of an n x m matrix with n >= m.
+def _reflect(house, x: List[float]) -> List[float]:
+    """Q x for Q = H_0 H_1 ... H_{k-1}, the stored reflectors of :func:`_qr_jacobi`.
 
-    Returns (U as n columns list, sigma list of length m, V as m columns
-    list).  The sweeps run on M * 2^-e (:func:`_scaled_columns`), and sigma
-    is scaled back by 2^e at the end.
+    ``house[j]`` is ``(u, h)``: H_j = I - u u^T / h acts on entries j.. of x.
     """
-    n, m = len(M), len(M[0])
-    e, w = _scaled_columns(list(zip(*M)))
-    v = [[1.0 if i == j else 0.0 for i in range(m)] for j in range(m)]
-    sig = [math.sqrt(a) for a in _jacobi_sweeps(w, v)]
-    order = sorted(range(m), key=lambda j: -sig[j])
-    w = [w[j] for j in order]
-    v = [v[j] for j in order]
-    sig = [sig[j] for j in order]
-    u_cols = [[x / sg for x in col] for col, sg in zip(w, sig) if sg > 0.0]
-    u_cols = _gram_schmidt_complete(u_cols, n)
-    return u_cols, _unscaled(sig, e), v
+    for j in range(len(house) - 1, -1, -1):
+        u, h = house[j]
+        tail = x[j:]
+        f = sum(map(operator.mul, u, tail)) / h
+        if f:
+            x[j:] = [xi - f * ui for xi, ui in zip(tail, u)]
+    return x
 
 
-def svd(M) -> Tuple[List[List[float]], List[float], List[List[float]]]:
-    """Singular value decomposition M = U diag(sigma) V^T.
+def _qr_jacobi(cols, n: int, m: int, vectors: bool):
+    """SVD of the tall orientation A of an n x m matrix: ``(sigma, U, V)``.
 
-    ``M`` is a real or rational order-2 tensor or a list of equally long
-    rows of ints, floats and Fractions, all finite; a NaN or an infinity
-    raises :class:`ValueError`.
-    Returns (U, sigma, Vt): U is n x n, Vt is m x m, both orthogonal within
-    EPS_SVD; sigma holds the min(n, m) singular values, non-negative and
-    non-increasing.  Raises :class:`ConvergenceError` if the rotation sweep
-    cap is exhausted.
-    """
-    t = _matrix(M, REAL)
-    scalars.check_finite(REAL, t.coeffs)
-    rows = _rows(t)
-    n, m = t.shape
-    if n >= m:
-        u_cols, sig, v_cols = _jacobi_svd_tall(rows)
-        # columns of V are exactly the rows of Vt
-        return _transpose(u_cols), sig[:m], [list(c) for c in v_cols]
-    u_cols, sig, v_cols = _jacobi_svd_tall(_transpose(rows))
-    # M^T = U2 S V2^T  =>  M = V2 S^T U2^T
-    return _transpose(v_cols), sig[:n], [list(c) for c in u_cols]
-
-
-def numeric_rank(sigma: Sequence[float], n: int, m: int) -> int:
-    if not sigma:
-        return 0
-    smax = sigma[0]
-    if smax == 0.0:
-        return 0
-    thresh = EPS_RANK * smax * max(n, m)
-    return sum(1 for s in sigma if s > thresh)
-
-
-def _qr_jacobi_sigma(cols, n: int, m: int) -> List[float]:
-    """Singular values, non-increasing, of the matrix with columns ``cols``.
-
-    ``cols`` holds the min(n, m) columns, each of length max(n, m), of the
-    tall orientation of an n x m matrix.  No singular vector is formed.
-    Householder QR with column pivoting (Businger & Golub 1965) stops at
-    step k once the trailing block's Frobenius norm is at most ``_QR_DROP *
-    EPS_RANK * max(n, m)`` times the largest column norm.  That norm is at
-    most sigma_max, so by Weyl's inequality dropping the block moves each
+    ``cols`` holds the p = min(n, m) columns of A, each of length N = max(n,
+    m).  The input is scaled by a power of two (:func:`_scaled_columns`).
+    Householder QR with column pivoting (Businger & Golub 1965), A P = Q R,
+    stops at step k once the trailing block's Frobenius norm is at most
+    ``_QR_DROP * EPS_RANK * N`` times the largest column norm.  That norm is
+    at most sigma_max, so by Weyl's inequality dropping the block moves each
     singular value by at most ``_QR_DROP`` times the rank threshold of
     :func:`numeric_rank`.  One-sided Jacobi then runs on the k kept rows of
-    R, taken as columns (Drmač & Veselić 2008), and the min(n, m) - k
-    dropped values are zeros.  The input is scaled and the result scaled back as in
-    :func:`svd`.
+    R, taken as columns (Drmač & Veselić 2008): it rotates them into
+    orthogonal columns C = R_k^T W, so R_k = W C^T and A = (Q_k W) C^T P^T.
+
+    ``sigma`` holds the norms of C, non-increasing and scaled back, then p -
+    k zeros.  With ``vectors`` set, W is accumulated and U (N columns) is Q
+    applied to W padded with zeros, completed by Q's own columns Q e_j for
+    j >= k; V (p columns) is P applied to C's columns normalized, completed by
+    :func:`_gram_schmidt_complete`.  Without it U and V are None, and W,
+    which never feeds back into R, is not formed: sigma has the same bits.
     """
     e, a = _scaled_columns(cols)
-    p = len(a)
+    N, p = max(n, m), len(a)
+    perm = list(range(p))
     # squared norms of the columns' active parts: rows j.. at step j
     norm2 = [sum(map(operator.mul, col, col)) for col in a]
-    drop2 = (_QR_DROP * EPS_RANK * max(n, m)) ** 2 * max(norm2, default=0.0)
-    R = []
+    drop2 = (_QR_DROP * EPS_RANK * N) ** 2 * max(norm2, default=0.0)
+    R, house = [], []
     for j in range(p):
         if sum(norm2[j:]) <= drop2:
             break
         piv = max(range(j, p), key=norm2.__getitem__)
         a[j], a[piv] = a[piv], a[j]
         norm2[j], norm2[piv] = norm2[piv], norm2[j]
+        perm[j], perm[piv] = perm[piv], perm[j]
         for row in R:
             row[j], row[piv] = row[piv], row[j]
         x = a[j]
@@ -375,8 +346,75 @@ def _qr_jacobi_sigma(cols, n: int, m: int) -> List[float]:
             a[c] = y = y[1:]
             norm2[c] = sum(map(operator.mul, y, y))
         R.append(row)
-    sig = sorted(map(math.sqrt, _jacobi_sweeps(R)), reverse=True)
-    return _unscaled(sig + [0.0] * (p - len(sig)), e)
+        house.append((u, h))
+    k = len(R)
+    W = [[float(i == l) for i in range(k)] for l in range(k)] if vectors else None
+    norm2 = _jacobi_sweeps(R, W)
+    order = sorted(range(k), key=lambda l: -norm2[l])
+    scaled = [math.sqrt(norm2[l]) for l in order]
+    sig = _unscaled(scaled + [0.0] * (p - k), e)
+    if not vectors:
+        return sig, None, None
+    U = [_reflect(house, W[l] + [0.0] * (N - k)) for l in order]
+    U += [_reflect(house, [float(i == j) for i in range(N)]) for j in range(k, N)]
+    V = []
+    for l, sg in zip(order, scaled):
+        if sg > 0.0:
+            v = [0.0] * p
+            for j, x in zip(perm, R[l]):
+                v[j] = x / sg
+            V.append(v)
+    return sig, U, _gram_schmidt_complete(V, p)
+
+
+def _tall(M) -> Tuple[int, int, list]:
+    """``(n, m, cols)``: the shape of the finite real matrix ``M`` and the
+    min(n, m) columns, each of length max(n, m), of M or M^T, whichever is tall."""
+    t = _matrix(M, REAL)
+    scalars.check_finite(REAL, t.coeffs)
+    n, m = t.shape
+    rows = _rows(t)
+    return n, m, rows if n < m else list(zip(*rows))
+
+
+def svd(M) -> Tuple[List[List[float]], List[float], List[List[float]]]:
+    """Singular value decomposition M = U diag(sigma) V^T.
+
+    ``M`` is a real or rational order-2 tensor or a list of equally long
+    rows of ints, floats and Fractions, all finite; a NaN or an infinity
+    raises :class:`ValueError`.
+    Returns (U, sigma, Vt): U is n x n, Vt is m x m, both orthogonal within
+    EPS_SVD; sigma holds the min(n, m) singular values, non-negative and
+    non-increasing; the values of a trailing block that pivoted QR drops
+    (norm at most ``_QR_DROP`` times the rank threshold of
+    :func:`numeric_rank`, see :func:`_qr_jacobi`) are reported as 0.
+    U diag(sigma) Vt reconstructs M within EPS_SVD * sigma_max plus that norm.
+    Signs are fixed: for l < min(n, m) the entry of largest magnitude in
+    column l of U (the first such entry on ties) is positive, and row l of
+    Vt has the matching sign.  Raises :class:`ConvergenceError` if the
+    rotation sweep cap is exhausted.
+    """
+    n, m, cols = _tall(M)
+    sig, U, V = _qr_jacobi(cols, n, m, True)
+    if n < m:
+        # M^T = U S V^T  =>  M = V S U^T
+        U, V = V, U
+    for l in range(len(sig)):
+        if max(U[l], key=abs) < 0.0:
+            U[l] = [-x for x in U[l]]
+            V[l] = [-x for x in V[l]]
+    # the columns of V are the rows of Vt
+    return _transpose(U), sig, V
+
+
+def numeric_rank(sigma: Sequence[float], n: int, m: int) -> int:
+    if not sigma:
+        return 0
+    smax = sigma[0]
+    if smax == 0.0:
+        return 0
+    thresh = EPS_RANK * smax * max(n, m)
+    return sum(1 for s in sigma if s > thresh)
 
 
 def matrix_rank(M, method: str) -> int:
@@ -387,20 +425,16 @@ def matrix_rank(M, method: str) -> int:
     same intake and errors.  ``"rref"`` counts the pivots of the integer
     elimination behind :func:`rref`, so it equals
     ``rank_decompose_rref(M).r``.  ``"svd"`` applies :func:`numeric_rank`
-    to singular values from pivoted QR and sigma-only Jacobi
-    (:func:`_qr_jacobi_sigma`); it equals ``rank_decompose_svd(M).r`` unless
-    a singular value lies within ``_QR_DROP`` times the rank threshold, plus
-    rounding, of that threshold.
+    to the singular values of :func:`_qr_jacobi`, the kernel behind
+    :func:`svd`, run without singular vectors; they have the same bits as
+    ``svd(M)[1]``, so the rank always equals ``rank_decompose_svd(M).r``.
     """
     if method == "rref":
         return len(_bareiss(_matrix(M, RATIONAL))[1])
     if method != "svd":
         raise ValueError(f"unknown rank method {method!r}; expected 'rref' or 'svd'")
-    t = _matrix(M, REAL)
-    scalars.check_finite(REAL, t.coeffs)
-    n, m = t.shape
-    rows = _rows(t)
-    return numeric_rank(_qr_jacobi_sigma(rows if n < m else list(zip(*rows)), n, m), n, m)
+    n, m, cols = _tall(M)
+    return numeric_rank(_qr_jacobi(cols, n, m, False)[0], n, m)
 
 
 def rank_decompose_svd(M) -> RankDecomposition:

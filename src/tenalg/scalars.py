@@ -185,6 +185,15 @@ def rational_literal(text: str) -> Fraction:
     raise ValueError(f"a rational must be p, -p, p/q or -p/q in ASCII digits, got {shown}")
 
 
+def real_literal(text: str) -> float:
+    """``float(text)`` for ASCII text without ``_``, the form of a CSV field
+    or a ``--from``/``--to`` value; :class:`ValueError` for any other text,
+    such as ``'٣'`` or ``'1_0'``, which ``float`` alone would read."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"a real number must be ASCII with no '_', got {text!r}")
+    return float(text)
+
+
 def from_json(field: str, obj):
     """Decode one scalar from the JSON tensor formats.
 

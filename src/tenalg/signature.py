@@ -28,7 +28,7 @@ from typing import Sequence
 from . import scalars
 from .algebra import TruncatedTensor, _check_budget, concat_product, unit
 from .dense import DenseTensor, tensor_product
-from .scalars import REAL
+from .scalars import REAL, real_literal
 
 __all__ = [
     "PiecewiseLinearPath",
@@ -203,7 +203,7 @@ def read_path_csv(text_or_file) -> PiecewiseLinearPath:
     points = []
     for idx, row in enumerate(rows):
         try:
-            points.append([float(cell) for cell in row])
+            points.append([real_literal(cell) for cell in row])
         except ValueError:
             if idx == 0:
                 continue  # header row

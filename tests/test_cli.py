@@ -223,6 +223,13 @@ def test_expand_error_names_the_end_of_input(capsys):
     assert err == "error: expected a symbol or '(', found end of input (at position 1)\n"
 
 
+@pytest.mark.parametrize("space", ["\u2003", "\u00a0", "\u3000"], ids=["em", "no-break", "ideographic"])
+def test_factor_refuses_non_ascii_whitespace(capsys, space):
+    code, out, err = run(capsys, "factor", f"a1{space}@b1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: unexpected character")
+
+
 def test_factor_syntax_error_exit_code(capsys):
     code, _, err = run(capsys, "factor", "a1@@b1")
     assert code == 1 and "error:" in err
@@ -276,6 +283,24 @@ def test_sig_subinterval(tmp_path, capsys):
     code, out, _ = run(capsys, "sig", str(f), "--depth", "1", "--from", "0.25", "--to", "0.75")
     assert code == 0
     assert json.loads(out)["levels"][1] == [0.5, 0.5]
+
+
+@pytest.mark.parametrize("option", ["--from", "--to"])
+@pytest.mark.parametrize("value", ["\u0660.\u0665", "0_5", "\uff10.5"], ids=["arabic-indic", "underscore", "full-width"])
+def test_sig_interval_is_an_ascii_float(tmp_path, capsys, option, value):
+    f = tmp_path / "path.csv"
+    f.write_text("0,0\n1,1\n", encoding="utf-8")
+    code, out, err = run(capsys, "sig", str(f), "--depth", "1", option, value)
+    assert (code, out) == (1, "")
+    assert f"argument {option}:" in err
+
+
+def test_sig_refuses_a_non_ascii_csv_value(tmp_path, capsys):
+    f = tmp_path / "path.csv"
+    f.write_text("0,0\n\u0663,1_0\n", encoding="utf-8")
+    code, out, err = run(capsys, "sig", str(f), "--depth", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: non-numeric value in CSV row 2: ['\u0663', '1_0']\n"
 
 
 def test_algebra_mul(tmp_path, capsys):

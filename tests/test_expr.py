@@ -144,8 +144,10 @@ def test_parse_reads_numbers_up_to_the_digit_bound():
 
 @pytest.mark.parametrize(
     "text, position",
-    [("٣ a@b", 0), ("a@b + ３ a@c", 6), ("1/٤ a@b", 1), ("² a@b", 0)],
-    ids=["arabic-indic", "full-width", "arabic-indic-denominator", "superscript"],
+    [("٣ a@b", 0), ("a@b + ３ a@c", 6), ("1/٤ a@b", 1), ("² a@b", 0),
+     ("a1\u2003@b1", 2), ("a1@\u00a0b1", 3), ("a1\u3000@b1", 2), ("a1\x0b@b1", 2)],
+    ids=["arabic-indic", "full-width", "arabic-indic-denominator", "superscript",
+         "em-space", "no-break-space", "ideographic-space", "vertical-tab"],
 )
 def test_parse_reads_only_ascii_digits(text, position):
     with pytest.raises(ExprSyntaxError) as err:

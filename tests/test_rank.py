@@ -25,7 +25,7 @@ from tenalg import (
     verify_decomposition,
 )
 from tenalg.cli import main
-from tenalg.rank import EPS_RANK, ConvergenceError, decomposition_terms
+from tenalg.rank import EPS_RANK, EPS_SVD, ConvergenceError, decomposition_terms
 from tenalg.scalars import COMPLEX, EPS_F, RATIONAL, REAL, one, zero
 
 A = [[3, 4], [6, 8]]
@@ -563,45 +563,52 @@ def _random_orthogonal(rng, n):
 def planted_spectra(draw):
     """(M, r): M = U diag(sigma) V^T with orthogonal U, V and sigma_max = scale,
     every other singular value either far above the rank threshold, 5% to
-    10x above it, below 95% of it or zero.  The QR drop moves a singular value
-    by at most 1e-3 of the threshold, and forming M and the sweeps' rounding
-    by about 1e-15 * sigma_max * max(n, m), far inside the 5% gap."""
+    10x above it, below 95% of it, zero, or within 1e-3 of it.  r is the
+    planted rank, or None once a value lies within 1e-3 of the threshold:
+    forming M and the sweeps' rounding move a value by about 1e-15 *
+    sigma_max * max(n, m), far inside the 5% gap but not inside that one."""
     n, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     scale = draw(st.sampled_from([1.0, 3.7e-5, 1e200, 1e-200]))
     thresh = EPS_RANK * max(n, m)
     sigma = [1.0]
+    near = False
     for _ in range(min(n, m) - 1):
-        kind = draw(st.sampled_from(["large", "above", "below", "zero"]))
+        kind = draw(st.sampled_from(["large", "above", "below", "zero", "near"]))
         if kind == "large":
             sigma.append(draw(st.floats(1e-6, 1.0)))
         elif kind == "above":
             sigma.append(thresh * draw(st.floats(1.05, 10.0)))
         elif kind == "below":
             sigma.append(thresh * draw(st.floats(0.0, 0.95)))
-        else:
+        elif kind == "zero":
             sigma.append(0.0)
+        else:
+            sigma.append(thresh * draw(st.floats(1.0 - 1e-3, 1.0 + 1e-3)))
+            near = True
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     U, V = _random_orthogonal(rng, n), _random_orthogonal(rng, m)
     M = [
         [scale * sum(U[i][l] * s * V[j][l] for l, s in enumerate(sigma)) for j in range(m)]
         for i in range(n)
     ]
-    return M, sum(1 for s in sigma if s > thresh)
+    return M, None if near else sum(1 for s in sigma if s > thresh)
 
 
 @settings(deadline=None, max_examples=200)
 @given(planted_spectra())
-def test_rank_only_svd_route_agrees_with_the_decomposition_off_the_threshold(case):
+def test_rank_only_svd_route_agrees_with_the_decomposition_on_and_off_the_threshold(case):
     M, r = case
-    assert svd_rank(M) == rank_decompose_svd(M).r == r
+    assert svd_rank(M) == rank_decompose_svd(M).r
+    if r is not None:
+        assert svd_rank(M) == r
 
 
-def _just_under_the_threshold(seed):
-    """8x8 U diag(1e6, 5e5, 3e5, 7.2e-4, 0, ...) V^T: the fourth singular
-    value lies just under the rank threshold 1e-10 * 1e6 * 8 = 8e-4."""
+def _just_under_the_threshold(seed, sigma_4=7.2e-4):
+    """8x8 U diag(1e6, 5e5, 3e5, sigma_4, 0, ...) V^T: by default the fourth
+    singular value lies just under the rank threshold 1e-10 * 1e6 * 8 = 8e-4."""
     rng = random.Random(seed)
     U, V = _random_orthogonal(rng, 8), _random_orthogonal(rng, 8)
-    sigma = [1e6, 5e5, 3e5, 7.2e-4, 0.0, 0.0, 0.0, 0.0]
+    sigma = [1e6, 5e5, 3e5, sigma_4, 0.0, 0.0, 0.0, 0.0]
     return [[sum(U[i][l] * s * V[j][l] for l, s in enumerate(sigma)) for j in range(8)] for i in range(8)]
 
 
@@ -610,6 +617,13 @@ def test_svd_decomposition_accepts_its_own_truncation(seed):
     """Dropping sigma_4 moves an entry by up to 7.2e-4, more than the
     EPS_F tolerance alone allows at these magnitudes (seeds 6 and 9)."""
     assert rank_decompose_svd(_just_under_the_threshold(seed)).r == 3
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("sigma_4", [7.2e-4, 8e-4 * (1 - 1e-3), 8e-4, 8e-4 * (1 + 1e-3)])
+def test_rank_only_svd_route_agrees_with_the_decomposition_at_the_threshold(seed, sigma_4):
+    M = _just_under_the_threshold(seed, sigma_4)
+    assert svd_rank(M) == rank_decompose_svd(M).r
 
 
 @pytest.mark.parametrize("where", ["d2", "d1"])
@@ -629,23 +643,19 @@ def test_svd_decomposition_check_still_rejects_a_wrong_factor(monkeypatch, where
         rank_decompose_svd(_just_under_the_threshold(6))
 
 
-def _sigma_only_sweeps(M):
-    """Singular values from the shared sweep loop without V, as svd arranges them."""
-    n, m = len(M), len(M[0])
-    cols = list(zip(*M)) if n >= m else M
-    e, w = rank_module._scaled_columns(cols)
-    sig = sorted(map(math.sqrt, rank_module._jacobi_sweeps(w)), reverse=True)
-    return rank_module._unscaled(sig, e)
-
-
 def _planted(rng, n, m, r):
     left = random_int_matrix(rng, n, r, -3, 3)
     right = random_int_matrix(rng, r, m, -3, 3)
     return [[sum(left[i][l] * right[l][j] for l in range(r)) for j in range(m)] for i in range(n)]
 
 
+def _transpose(mat):
+    return [list(col) for col in zip(*mat)]
+
+
 @pytest.mark.parametrize("seed", range(8))
-def test_sigma_only_sweeps_keep_every_bit_of_svd(seed):
+def test_the_kernel_without_vectors_keeps_every_bit_of_svd(seed):
+    """The rank-only route runs the svd kernel without W, U or V."""
     rng = random.Random(seed)
     n, m = rng.randint(1, 12), rng.randint(1, 12)
     if seed % 2:
@@ -653,7 +663,51 @@ def test_sigma_only_sweeps_keep_every_bit_of_svd(seed):
     else:
         r = rng.randint(0, min(n, m))
         mat = [[float(x) for x in row] for row in _planted(rng, n, m, r)]
-    assert _sigma_only_sweeps(mat) == svd(mat)[1]
+    for M in (mat, _transpose(mat)):
+        n, m, cols = rank_module._tall(M)
+        assert rank_module._qr_jacobi(cols, n, m, False)[0] == svd(M)[1]
+
+
+def _check_svd_contract(mat):
+    """The documented contract of svd: orthogonal factors, a reconstruction
+    within EPS_SVD plus the QR drop, sorted sigma and the sign rule."""
+    n, m = len(mat), len(mat[0])
+    U, sig, Vt = svd(mat)
+    assert len(U) == n and len(Vt) == m and len(sig) == min(n, m)
+    assert _orthogonality_defect(U) <= EPS_SVD
+    assert _orthogonality_defect(Vt) <= EPS_SVD
+    assert all(s1 >= s2 >= 0.0 for s1, s2 in zip(sig, sig[1:] + [0.0]))
+    smax = sig[0]
+    drop = rank_module._QR_DROP * EPS_RANK * max(n, m) * smax
+    assert _max_abs_diff(_reconstruct(U, sig, Vt, n, m), mat) <= EPS_SVD * smax + drop
+    for l in range(min(n, m)):
+        col = [U[i][l] for i in range(n)]
+        assert max(col, key=abs) > 0.0
+
+
+@st.composite
+def scaled_planted_matrices(draw):
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    r = draw(st.integers(0, min(n, m)))
+    mat = _planted(random.Random(draw(st.integers(0, 2**32 - 1))), n, m, r)
+    scale = draw(st.sampled_from([1.0, 1e200, 1e-200, 3.7e-5]))
+    return [[x * scale for x in row] for row in mat]
+
+
+@settings(deadline=None, max_examples=150)
+@given(scaled_planted_matrices())
+@example([[0.0, 0.0, 0.0]])
+@example([[-1.0, 1.0], [1.0, -1.0], [2.0, 2.0]])
+def test_svd_keeps_its_contract_on_planted_matrices(mat):
+    _check_svd_contract(mat)
+    _check_svd_contract(_transpose(mat))
+
+
+def test_svd_keeps_its_contract_on_a_40x40_rank_24_matrix():
+    ints = _planted(random.Random(24), 40, 40, 24)
+    mat = [[float(x) for x in row] for row in ints]
+    _check_svd_contract(mat)
+    assert rank_decompose_svd(mat).r == svd_rank(mat) == rref_rank(ints) == 24
 
 
 @pytest.mark.parametrize("method", ["rref", "svd"])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from tenalg.algebra import load_tt
 from tenalg.dense import load_tensor
-from tenalg.scalars import COMPLEX, RATIONAL, REAL, coerce, from_json, to_json
+from tenalg.scalars import COMPLEX, RATIONAL, REAL, coerce, from_json, real_literal, to_json
 
 # the one rational literal, written out independently of the decoder
 _LITERAL = re.compile(r"-?[0-9]{1,4300}(?:/([0-9]{1,4300}))?")
@@ -200,3 +200,23 @@ def test_loaders_refuse_non_finite_constants(load, constant):
     doc = f'{{"field": "real", "shape": [1, 1], "coeffs": [{constant}], "d": 1, "N": 0, "levels": [[{constant}]]}}'
     with pytest.raises(ValueError, match=f"non-finite number {constant} in JSON input"):
         load(doc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.floats().map(repr), st.text(alphabet="0123456789.e-+_ ٣１² ", max_size=8)))
+@example("٣")
+@example("1_0")
+@example(" 1.5\n")
+@example("-inf")
+def test_real_literal_is_float_on_ascii_text_without_underscores(text):
+    """float(text) where text is ASCII with no '_'; a ValueError elsewhere,
+    even where float alone reads the text ('٣' is 3.0, '1_0' is 10.0)."""
+    try:
+        expected = repr(float(text)) if text.isascii() and "_" not in text else None
+    except ValueError:
+        expected = None
+    if expected is None:
+        with pytest.raises(ValueError):
+            real_literal(text)
+    else:
+        assert repr(real_literal(text)) == expected

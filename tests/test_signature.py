@@ -224,6 +224,19 @@ def test_read_csv_bad_row():
         read_path_csv("0,0\nbad,row\n")
 
 
+@pytest.mark.parametrize("row", ["\u0663,1", "1,1_0", "\uff11,0", "\u20031,0"],
+                         ids=["arabic-indic", "underscore", "full-width", "em-space"])
+def test_read_csv_reads_only_ascii_floats(row):
+    """float alone reads non-ASCII digits and underscores: '٣,1_0' was (3, 10)."""
+    with pytest.raises(ValueError, match="CSV row 2"):
+        read_path_csv("0,0\n" + row + "\n")
+
+
+def test_read_csv_skips_a_non_ascii_header():
+    p = read_path_csv("\u0437\u043d\u0430\u0447\u0435\u043d\u0438\u0435,y_1\n0,0\n1e-1, 2.5\n")
+    assert p.points == ((0.0, 0.0), (0.1, 2.5))
+
+
 def test_read_csv_field_over_the_csv_limit_is_a_value_error():
     with pytest.raises(ValueError, match="field limit"):
         read_path_csv("1," + "7" * 200_000 + "\n")
