@@ -18,8 +18,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from . import scalars
 from .dense import DenseTensor, _as_size

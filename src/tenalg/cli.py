@@ -217,8 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command")
 
     q = sub.add_parser("dim", help="dimension of the level-N truncated algebra over R^d")
-    q.add_argument("d", type=int)
-    q.add_argument("N", type=int)
+    q.add_argument("d", type=scalars.integer_literal)
+    q.add_argument("N", type=scalars.integer_literal)
     q.set_defaults(func=_cmd_dim)
 
     q = sub.add_parser("rank", help="rank of an order-2 tensor from a JSON file")
@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
         "float factors, not golden-stable)",
     )
     q.add_argument("--field", choices=list(scalars.FIELDS), default=None)
-    q.add_argument("--max-rank", type=int, default=4)
+    q.add_argument("--max-rank", type=scalars.integer_literal, default=4)
     q.add_argument("--json", action="store_true")
     q.set_defaults(func=_cmd_factor)
 
@@ -258,12 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("sig", help="truncated signature of a CSV path")
     q.add_argument("file")
-    q.add_argument("--depth", type=int, required=True)
+    q.add_argument("--depth", type=scalars.integer_literal, required=True)
     q.add_argument("--from", dest="s", type=scalars.real_literal, default=0.0)
     q.add_argument("--to", dest="t", type=scalars.real_literal, default=1.0)
     q.add_argument(
         "--oracle",
-        type=int,
+        type=scalars.integer_literal,
         default=None,
         metavar="STEPS",
         help="use the Riemann-sum oracle with this many grid steps",
@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("algebra", help="truncated tensor algebra operations")
     q.add_argument("op", choices=["mul", "inv", "project"])
     q.add_argument("files", nargs="+")
-    q.add_argument("--level", type=int, default=None)
+    q.add_argument("--level", type=scalars.integer_literal, default=None)
     q.set_defaults(func=_cmd_algebra)
 
     return p

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import operator
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from . import scalars
 from .scalars import RATIONAL, FieldMismatchError

@@ -29,10 +29,10 @@ import math
 import operator
 import random
 import re
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import List, Optional, Sequence, Tuple
 
 from . import scalars
 from .algebra import MAX_COEFFS
@@ -45,7 +45,6 @@ __all__ = [
     "SlotVector",
     "Term",
     "TensorExpr",
-    "SlotBasis",
     "parse",
     "render",
     "infer_bases",
@@ -121,16 +120,24 @@ class SlotVector:
         return f"SlotVector({self.entries!r})"
 
 
-@dataclass(frozen=True, eq=True)
-class Term:
-    coefficient: object
-    slots: tuple  # one SlotVector per slot
+class Term(namedtuple("Term", "coefficient slots")):
+    """``coefficient`` times the tensor product of ``slots``, one SlotVector each."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
 class TensorExpr:
-    terms: tuple
-    field: str = RATIONAL
+    __slots__ = ("terms", "field")
+
+    def __init__(self, terms, field: str = RATIONAL):
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "field", field)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TensorExpr is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("TensorExpr is immutable")
 
     @property
     def order(self) -> int:
@@ -160,14 +167,8 @@ class TensorExpr:
     def __str__(self) -> str:
         return render(self)
 
-
-@dataclass(frozen=True)
-class SlotBasis:
-    per_slot: tuple  # one tuple of symbols per slot
-
-    @property
-    def dims(self) -> tuple:
-        return tuple(len(s) for s in self.per_slot)
+    def __repr__(self) -> str:
+        return f"TensorExpr(terms={self.terms!r}, field={self.field!r})"
 
 
 # -- parsing -----------------------------------------------------------------
@@ -223,7 +224,7 @@ class _Parser:
             raise ExprSyntaxError(f"expected {kind!r}, found {_found(tok)}", tok[2])
         return tok
 
-    def parse_expression(self) -> List[Term]:
+    def parse_expression(self) -> list[Term]:
         terms = self.parse_signed_sum(self.parse_term)
         tok = self.peek()
         if tok[0] != "end":
@@ -375,24 +376,22 @@ def _live_terms(terms) -> tuple:
     return tuple(t for t in terms if all(not sv.is_zero() for sv in t.slots))
 
 
-def infer_bases(e: TensorExpr) -> SlotBasis:
-    """Per-slot symbol lists in first-appearance order (contributing terms only)."""
-    m = e.order
-    per_slot = [[] for _ in range(m)]
+def infer_bases(e: TensorExpr) -> tuple:
+    """One tuple of symbols per slot in first-appearance order (contributing terms only)."""
+    per_slot = [{} for _ in range(e.order)]
     for t in _live_terms(e.terms):
         for k, sv in enumerate(t.slots):
-            for sym in sv.symbols():
-                if sym not in per_slot[k]:
-                    per_slot[k].append(sym)
-    return SlotBasis(tuple(tuple(s) for s in per_slot))
+            per_slot[k].update(sv.entries)
+    return tuple(map(tuple, per_slot))
 
 
-def to_coefficient_tensor(e: TensorExpr) -> Tuple[DenseTensor, SlotBasis]:
-    """Collect the summed coefficient of every pure basis term."""
+def to_coefficient_tensor(e: TensorExpr) -> tuple[DenseTensor, tuple]:
+    """The summed coefficient of every pure basis term, and the symbol tuples
+    of :func:`infer_bases` that index the tensor's axes."""
     _validate(e.terms)
     live = _live_terms(e.terms)
     basis = infer_bases(e)
-    dims = basis.dims
+    dims = tuple(map(len, basis))
     if not live:
         raise ValueError("cannot build a coefficient tensor: no contributing terms")
     size = math.prod(dims)
@@ -400,7 +399,7 @@ def to_coefficient_tensor(e: TensorExpr) -> Tuple[DenseTensor, SlotBasis]:
         raise ValueError(
             f"the coefficient tensor of shape {dims} exceeds the budget of {MAX_COEFFS} coefficients"
         )
-    index = [{sym: i for i, sym in enumerate(slot)} for slot in basis.per_slot]
+    index = [{sym: i for i, sym in enumerate(slot)} for slot in basis]
     coeffs = [scalars.zero(e.field)] * size
     for t in live:
         partial = [(0, scalars.coerce(e.field, t.coefficient))]
@@ -437,7 +436,7 @@ def expand(e: TensorExpr) -> TensorExpr:
     one = scalars.one(e.field)
     terms = [
         Term(c, tuple(SlotVector(((sym, one),)) for sym in syms))
-        for syms, c in zip(iter_product(*basis.per_slot), tensor.coeffs)
+        for syms, c in zip(iter_product(*basis), tensor.coeffs)
         if c != zero
     ]
     return TensorExpr(tuple(terms), e.field)
@@ -446,14 +445,14 @@ def expand(e: TensorExpr) -> TensorExpr:
 # -- factoring ----------------------------------------------------------------
 
 
-def _factored(basis: SlotBasis, terms, field: str) -> TensorExpr:
+def _factored(basis: tuple, terms, field: str) -> TensorExpr:
     """The sum of unit-coefficient terms whose slot ``k`` holds the given
-    coefficient vector over ``basis.per_slot[k]``; ``terms`` yields one
+    coefficient vector over the symbols ``basis[k]``; ``terms`` yields one
     sequence of per-slot vectors per term.  Zero entries drop out."""
     one = scalars.one(field)
     return TensorExpr(
         tuple(
-            Term(one, tuple(SlotVector(tuple(zip(syms, v))) for syms, v in zip(basis.per_slot, vecs)))
+            Term(one, tuple(SlotVector(tuple(zip(syms, v))) for syms, v in zip(basis, vecs)))
             for vecs in terms
         ),
         field,
@@ -588,7 +587,7 @@ def _unfoldings(dims, target) -> list:
     return unfolded
 
 
-def _als_fit(target, unfolded, r, field, rng, sweeps, tol) -> Tuple[float, Optional[list]]:
+def _als_fit(target, unfolded, r, field, rng, sweeps, tol) -> tuple[float, list | None]:
     """One ALS run at rank ``r`` on the flat ``target`` and its
     :func:`_unfoldings`; returns ``(residual, terms)``, where term ``l`` is
     its list of per-slot vectors, or ``(best residual, None)``."""
@@ -627,7 +626,7 @@ def _als_fit(target, unfolded, r, field, rng, sweeps, tol) -> Tuple[float, Optio
 
 def factor_heuristic_higher_order(
     e: TensorExpr, max_rank: int, field: str = REAL
-) -> Tuple[TensorExpr, str]:
+) -> tuple[TensorExpr, str]:
     """ALS sweep over candidate ranks 1..max_rank for order >= 3 expressions.
 
     Returns ``(expression, status)``.  On the first rank whose fit re-expands
@@ -664,8 +663,9 @@ def factor_heuristic_higher_order(
     return TensorExpr(_live_terms(e.terms), e.field), "failed"
 
 
-def term_factor_vectors(e: TensorExpr, basis: Optional[SlotBasis] = None):
-    """One order-1 coefficient vector per slot of each term, over ``basis``.
+def term_factor_vectors(e: TensorExpr, basis: tuple | None = None):
+    """One order-1 coefficient vector per slot of each term, over the symbol
+    tuples ``basis`` (by default :func:`infer_bases` of ``e``).
 
     Bridges factored expressions to rank-1 term lists so a factorization can
     be checked by re-expansion against the coefficient tensor.
@@ -678,15 +678,8 @@ def term_factor_vectors(e: TensorExpr, basis: Optional[SlotBasis] = None):
         for k, sv in enumerate(t.slots):
             lookup = dict(sv.entries)
             coeff = scalars.coerce(e.field, t.coefficient) if k == 0 else scalars.one(e.field)
-            factors.append(
-                DenseTensor.vector(
-                    [
-                        coeff * scalars.coerce(e.field, lookup.get(sym, 0))
-                        for sym in basis.per_slot[k]
-                    ],
-                    e.field,
-                )
-            )
+            vec = [coeff * scalars.coerce(e.field, lookup.get(sym, 0)) for sym in basis[k]]
+            factors.append(DenseTensor.vector(vec, e.field))
         out.append(factors)
     return out
 

@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import List, Sequence, Tuple
 
 from . import scalars
 from .dense import DenseTensor, ShapeMismatchError
@@ -69,14 +69,10 @@ class ConvergenceError(RuntimeError):
     """An iterative numeric routine failed to converge within its cap."""
 
 
-@dataclass(frozen=True)
-class RankDecomposition:
-    """Factor matrices (rows are the rank-1 factors) with M = D1^T D2."""
+class RankDecomposition(namedtuple("RankDecomposition", "r d1 d2 field")):
+    """Factor matrices d1 (r x n) and d2 (r x m), rows the rank-1 factors: M = D1^T D2."""
 
-    r: int
-    d1: tuple  # r x n
-    d2: tuple  # r x m
-    field: str
+    __slots__ = ()
 
 
 def _matrix(M, field: str) -> DenseTensor:
@@ -103,7 +99,7 @@ def _rows(t: DenseTensor) -> list:
     return [t.coeffs[i : i + m] for i in range(0, t.size, m)]
 
 
-def _bareiss(A: DenseTensor) -> Tuple[List[List[int]], List[int], int]:
+def _bareiss(A: DenseTensor) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free Gauss-Jordan elimination of a rational matrix over ints.
 
     Returns ``(B, pivots, delta)``: the integer matrix B equals ``delta``
@@ -113,7 +109,7 @@ def _bareiss(A: DenseTensor) -> Tuple[List[List[int]], List[int], int]:
     """
     n, m = A.shape
     B = [integer_row(row)[1] for row in _rows(A)]
-    pivots: List[int] = []
+    pivots: list[int] = []
     row = 0
     prev = 1
     for col in range(m):
@@ -143,7 +139,7 @@ def _bareiss(A: DenseTensor) -> Tuple[List[List[int]], List[int], int]:
     return B, pivots, prev
 
 
-def rref(M) -> Tuple[List[List[Fraction]], List[int]]:
+def rref(M) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form over the rationals.
 
     ``M`` is a rational order-2 tensor or a list of equally long rows of
@@ -193,7 +189,7 @@ def _transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def _gram_schmidt_complete(cols: List[List[float]], n: int) -> List[List[float]]:
+def _gram_schmidt_complete(cols: list[list[float]], n: int) -> list[list[float]]:
     """Extend a set of orthonormal n-vectors to an orthonormal basis of R^n."""
     basis = [c[:] for c in cols]
     for k in range(n):
@@ -213,7 +209,7 @@ def _gram_schmidt_complete(cols: List[List[float]], n: int) -> List[List[float]]
     return basis
 
 
-def _scaled_columns(cols) -> Tuple[int, List[List[float]]]:
+def _scaled_columns(cols) -> tuple[int, list[list[float]]]:
     """``(e, cols * 2^-e)`` with 2^e the power of two at or above the largest |entry|.
 
     Scaling by a power of two is exact, so input in the normal range gives
@@ -225,7 +221,7 @@ def _scaled_columns(cols) -> Tuple[int, List[List[float]]]:
     return e, [[math.ldexp(x, -e) for x in col] for col in cols]
 
 
-def _unscaled(sig: List[float], e: int) -> List[float]:
+def _unscaled(sig: list[float], e: int) -> list[float]:
     """Singular values of the scaled matrix, scaled back by 2^e."""
     try:
         return [math.ldexp(sg, e) for sg in sig]
@@ -233,7 +229,7 @@ def _unscaled(sig: List[float], e: int) -> List[float]:
         raise ValueError("a singular value of the matrix exceeds the float range") from None
 
 
-def _jacobi_sweeps(w: List[List[float]], v=None) -> List[float]:
+def _jacobi_sweeps(w: list[list[float]], v=None) -> list[float]:
     """One-sided Jacobi sweeps on the columns ``w``, in place.
 
     Rotates column pairs until every pair is orthogonal in the normalized
@@ -281,7 +277,7 @@ def _jacobi_sweeps(w: List[List[float]], v=None) -> List[float]:
     return norm2
 
 
-def _reflect(house, x: List[float]) -> List[float]:
+def _reflect(house, x: list[float]) -> list[float]:
     """Q x for Q = H_0 H_1 ... H_{k-1}, the stored reflectors of :func:`_qr_jacobi`.
 
     ``house[j]`` is ``(u, h)``: H_j = I - u u^T / h acts on entries j.. of x.
@@ -367,7 +363,7 @@ def _qr_jacobi(cols, n: int, m: int, vectors: bool):
     return sig, U, _gram_schmidt_complete(V, p)
 
 
-def _tall(M) -> Tuple[int, int, list]:
+def _tall(M) -> tuple[int, int, list]:
     """``(n, m, cols)``: the shape of the finite real matrix ``M`` and the
     min(n, m) columns, each of length max(n, m), of M or M^T, whichever is tall."""
     t = _matrix(M, REAL)
@@ -377,7 +373,7 @@ def _tall(M) -> Tuple[int, int, list]:
     return n, m, rows if n < m else list(zip(*rows))
 
 
-def svd(M) -> Tuple[List[List[float]], List[float], List[List[float]]]:
+def svd(M) -> tuple[list[list[float]], list[float], list[list[float]]]:
     """Singular value decomposition M = U diag(sigma) V^T.
 
     ``M`` is a real or rational order-2 tensor or a list of equally long
@@ -456,7 +452,7 @@ def rank_decompose_svd(M) -> RankDecomposition:
 # -- re-expansion checks --------------------------------------------------------
 
 
-def _residual(field: str, target: list, terms, slack: float = 0.0) -> Tuple[bool, float]:
+def _residual(field: str, target: list, terms, slack: float = 0.0) -> tuple[bool, float]:
     """Re-expand a sum of rank-1 terms and compare it with ``target``.
 
     ``target`` is a flat row-major list; each term is a list of per-slot
@@ -493,7 +489,7 @@ def _residual(field: str, target: list, terms, slack: float = 0.0) -> Tuple[bool
     return res <= scalars.EPS_F + scalars.EPS_F * max(map(abs, target), default=0.0) + slack, float(res)
 
 
-def verify_decomposition(target: DenseTensor, terms) -> Tuple[bool, float]:
+def verify_decomposition(target: DenseTensor, terms) -> tuple[bool, float]:
     """Check that a sum of rank-1 terms reproduces ``target``.
 
     ``terms`` is a list of factor lists: term l holds one order-1 tensor per

@@ -15,8 +15,8 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import List, Sequence, Tuple
 
 RATIONAL = "rational"
 REAL = "real"
@@ -109,7 +109,7 @@ def close(field: str, a, b) -> bool:
     return abs(a - b) <= EPS_F + EPS_F * max(abs(a), abs(b))
 
 
-def integer_row(row: Sequence[Fraction]) -> Tuple[int, List[int]]:
+def integer_row(row: Sequence[Fraction]) -> tuple[int, list[int]]:
     """``(L, L * row)`` with L the lcm of the row's denominators, so L * row is integral.
 
     The exact kernels run over Python ints on rows lifted this way and build
@@ -167,6 +167,18 @@ def to_json(field: str, value):
     if field == REAL:
         return float(value)
     return [value.real, value.imag]
+
+
+def integer_literal(text: str) -> int:
+    """``int(text)`` for an optional ``-`` then 1 to ``MAX_DIGITS`` ASCII digits, the form
+    of a JSON integer or an integer CLI argument; :class:`ValueError` for any other
+    text, such as ``'٢'``, ``'1_0'``, ``'+3'`` or ``' 3'``, which ``int`` reads."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"an integer must be an optional '-' and ASCII digits, got {text!r}")
+    if len(digits) > MAX_DIGITS:
+        raise ValueError(f"a number with more than {MAX_DIGITS} digits")
+    return int(text)
 
 
 def rational_literal(text: str) -> Fraction:
@@ -231,12 +243,10 @@ def _reject_constant(name: str):
 
 def load_json(text: str):
     """Parse a JSON document as every tenalg reader does: ``NaN`` and the
-    infinities are refused, an integer goes through :func:`rational_literal`
+    infinities are refused, an integer goes through :func:`integer_literal`
     and so holds at most ``MAX_DIGITS`` digits under any int/str limit, and
     too deep a nesting is a :class:`ValueError`."""
     try:
-        return json.loads(
-            text, parse_constant=_reject_constant, parse_int=lambda digits: rational_literal(digits).numerator
-        )
+        return json.loads(text, parse_constant=_reject_constant, parse_int=integer_literal)
     except RecursionError:
         raise ValueError("JSON input is nested too deeply") from None

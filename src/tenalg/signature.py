@@ -22,8 +22,8 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from . import scalars
 from .algebra import TruncatedTensor, _check_budget, concat_product, unit
@@ -86,12 +86,10 @@ class PiecewiseLinearPath:
         return f"PiecewiseLinearPath({list(self.points)!r})"
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(namedtuple("Signature", "value interval")):
     """Signature value (a real truncated tensor) over an interval [s, t]."""
 
-    value: TruncatedTensor
-    interval: tuple
+    __slots__ = ()
 
     def level(self, n: int) -> DenseTensor:
         return self.value.level(n)

@@ -295,6 +295,33 @@ def test_sig_interval_is_an_ascii_float(tmp_path, capsys, option, value):
     assert f"argument {option}:" in err
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["dim", "{}", "2"], "d"),
+        (["dim", "2", "{}"], "N"),
+        (["sig", "path.csv", "--depth", "{}"], "--depth"),
+        (["sig", "path.csv", "--depth", "2", "--oracle", "{}"], "--oracle"),
+        (["algebra", "project", "x.json", "--level", "{}"], "--level"),
+        (["factor", "a@b@c", "--method", "als", "--max-rank", "{}"], "--max-rank"),
+    ],
+    ids=["dim-d", "dim-N", "depth", "oracle", "level", "max-rank"],
+)
+@pytest.mark.parametrize("value", ["\u0662", "1_0", "+3", " 3"], ids=["arabic-indic", "underscore", "plus", "space"])
+def test_integer_options_are_an_optional_minus_and_ascii_digits(capsys, argv, name, value):
+    code, out, err = run(capsys, *(arg.format(value) for arg in argv))
+    assert (code, out) == (1, "")
+    assert f"error: argument {name}: invalid integer_literal value: {value!r}\n" in err
+
+
+def test_cli_import_loads_no_dataclasses_typing_or_inspect():
+    code = "import sys, tenalg.cli; print(sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC)
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def test_sig_refuses_a_non_ascii_csv_value(tmp_path, capsys):
     f = tmp_path / "path.csv"
     f.write_text("0,0\n\u0663,1_0\n", encoding="utf-8")

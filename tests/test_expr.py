@@ -68,14 +68,14 @@ def test_parse_x0a():
     assert len(e.terms) == 4
     assert e.order == 2
     basis = infer_bases(e)
-    assert basis.per_slot == (("a1", "a2"), ("b1", "b2"))
+    assert basis == (("a1", "a2"), ("b1", "b2"))
 
 
 def test_parse_exercise_polynomial_bases():
     e = parse(E)
     assert len(e.terms) == 5
     basis = infer_bases(e)
-    assert basis.per_slot == (("x", "x^2", "x^3"), ("y", "y^2"))
+    assert basis == (("x", "x^2", "x^3"), ("y", "y^2"))
     assert e.terms[0].coefficient == F(-1)
     assert e.terms[1].coefficient == F(2)
 
@@ -342,7 +342,7 @@ def test_grouped_expressions_parse_render_and_collect(terms):
             key = tuple(sym for _, _, _, sym in picks)
             expected[key] = expected.get(key, 0) + sign * mag * math.prod(sg * m for sg, m, _, _ in picks)
     tensor, basis = to_coefficient_tensor(parse(text))
-    got = dict(zip(product(*basis.per_slot), tensor.coeffs))
+    got = dict(zip(product(*basis), tensor.coeffs))
     assert {k: c for k, c in got.items() if c} == {k: c for k, c in expected.items() if c}
 
 

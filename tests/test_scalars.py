@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from tenalg.algebra import load_tt
 from tenalg.dense import load_tensor
-from tenalg.scalars import COMPLEX, RATIONAL, REAL, coerce, from_json, real_literal, to_json
+from tenalg.scalars import COMPLEX, RATIONAL, REAL, coerce, from_json, integer_literal, real_literal, to_json
 
 # the one rational literal, written out independently of the decoder
 _LITERAL = re.compile(r"-?[0-9]{1,4300}(?:/([0-9]{1,4300}))?")
@@ -220,3 +220,24 @@ def test_real_literal_is_float_on_ascii_text_without_underscores(text):
             real_literal(text)
     else:
         assert repr(real_literal(text)) == expected
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.integers().map(str), st.text(alphabet="0123456789-+_ \n٢２²", max_size=8)))
+@example("٢")
+@example("1_0")
+@example("+3")
+@example(" 3")
+@example("3\n")
+@example("-")
+@example("")
+@example("-" + "9" * 4300)
+@example("9" * 4301)
+def test_integer_literal_is_an_optional_minus_and_ascii_digits(text):
+    """int(text) where text is '-' or nothing then 1 to 4300 ASCII digits; a
+    ValueError elsewhere, even where int alone reads the text."""
+    if re.fullmatch(r"-?[0-9]{1,4300}", text):
+        assert integer_literal(text) == int(text)
+    else:
+        with pytest.raises(ValueError):
+            integer_literal(text)
