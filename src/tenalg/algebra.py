@@ -22,7 +22,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from . import scalars
-from .dense import DenseTensor, _as_size
+from .dense import DenseTensor, _as_size, _Immutable
 from .scalars import RATIONAL
 
 __all__ = [
@@ -106,7 +106,7 @@ def _counted(N: int, levels) -> list:
     return levels
 
 
-class TruncatedTensor:
+class TruncatedTensor(_Immutable):
     """Element of the level-N truncated tensor algebra: ``flats[n]`` is level
     ``n`` as a flat row-major list of ``d ** n`` coefficients."""
 
@@ -135,9 +135,6 @@ class TruncatedTensor:
         object.__setattr__(x, "field", field)
         object.__setattr__(x, "flats", flats)
         return x
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedTensor is immutable")
 
     @classmethod
     def from_flat_levels(cls, d, N, flat_levels, field: str = RATIONAL) -> "TruncatedTensor":

@@ -56,24 +56,14 @@ def _pad_block(lines, height):
 def render_decomposition(dec: rank.RankDecomposition) -> str:
     if dec.r == 0:
         return "0"
-    columns = []
+    blocks = []
     for l in range(dec.r):
         if l > 0:
-            columns.append(("op", "+"))
-        columns.append(("vec", _vector_block(dec.d1[l], dec.field)))
-        columns.append(("op", "⊗"))
-        columns.append(("vec", _vector_block(dec.d2[l], dec.field)))
-    height = max(len(block) for kind, block in columns if kind == "vec")
-    mid = (height - 1) // 2
-    rows = [""] * height
-    for kind, block in columns:
-        if kind == "op":
-            cells = [(block if i == mid else " " * len(block)) for i in range(height)]
-        else:
-            cells = _pad_block(block, height)
-        for i in range(height):
-            rows[i] = (rows[i] + " " + cells[i]) if rows[i] else cells[i]
-    return "\n".join(r.rstrip() for r in rows)
+            blocks.append(["+"])
+        blocks += [_vector_block(dec.d1[l], dec.field), ["⊗"], _vector_block(dec.d2[l], dec.field)]
+    height = max(map(len, blocks))
+    padded = [_pad_block(b, height) for b in blocks]
+    return "\n".join(" ".join(row).rstrip() for row in zip(*padded))
 
 
 def _decomposition_json(dec: rank.RankDecomposition, shape) -> dict:

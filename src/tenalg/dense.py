@@ -7,12 +7,15 @@ Component access is 1-based, matching the conventions of the surrounding
 mathematics; the flat offsets are an internal detail.
 
 Tensors are immutable values: every operation returns a fresh tensor, so
-instances are safe to share across threads.
+instances are safe to share across threads.  :class:`_Immutable` is the one
+base of the package's value classes that refuses attribute assignment and
+deletion; their constructors set fields with ``object.__setattr__``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import operator
 from collections.abc import Iterable, Sequence
 
@@ -57,14 +60,19 @@ def _check_shape(shape) -> tuple:
     return dims
 
 
-def _count(shape: tuple) -> int:
-    total = 1
-    for d in shape:
-        total *= d
-    return total
+class _Immutable:
+    """Base of the value classes: no attribute may be set or deleted."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-class DenseTensor:
+class DenseTensor(_Immutable):
     """Order-``m`` dense tensor with 1-based component access.
 
     ``t[i1, ..., im]`` returns the coefficient of the canonical basis element
@@ -79,9 +87,9 @@ class DenseTensor:
         shape = _check_shape(shape)
         scalars.check_field(field)
         coeffs = [scalars.coerce(field, c) for c in coeffs]
-        if len(coeffs) != _count(shape):
+        if len(coeffs) != math.prod(shape):
             raise ShapeMismatchError(
-                f"shape {shape} needs {_count(shape)} coefficients, got {len(coeffs)}"
+                f"shape {shape} needs {math.prod(shape)} coefficients, got {len(coeffs)}"
             )
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "field", field)
@@ -97,15 +105,12 @@ class DenseTensor:
         object.__setattr__(t, "coeffs", coeffs)
         return t
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DenseTensor is immutable")
-
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zeros(cls, shape, field: str = RATIONAL) -> "DenseTensor":
         shape = _check_shape(shape)
-        return cls(shape, [scalars.zero(field)] * _count(shape), field)
+        return cls(shape, [scalars.zero(field)] * math.prod(shape), field)
 
     @classmethod
     def scalar(cls, value, field: str = RATIONAL) -> "DenseTensor":

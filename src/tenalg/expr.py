@@ -36,7 +36,7 @@ from itertools import product as iter_product
 
 from . import scalars
 from .algebra import MAX_COEFFS
-from .dense import DenseTensor
+from .dense import DenseTensor, _Immutable
 from .rank import _residual, rank_decompose_rref, rank_decompose_svd
 from .scalars import COMPLEX, RATIONAL, REAL
 
@@ -74,28 +74,16 @@ class ExprSyntaxError(ValueError):
         self.position = position
 
 
-class SlotVector:
+class SlotVector(_Immutable):
     """Formal linear combination of basis symbols filling one slot."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        combined = {}
-        order = []
+        combined = {}  # insertion order is first-appearance order
         for sym, coeff in entries:
-            if sym in combined:
-                combined[sym] = combined[sym] + coeff
-            else:
-                combined[sym] = coeff
-                order.append(sym)
-        object.__setattr__(
-            self,
-            "entries",
-            tuple((s, combined[s]) for s in order if combined[s] != 0),
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SlotVector is immutable")
+            combined[sym] = combined[sym] + coeff if sym in combined else coeff
+        object.__setattr__(self, "entries", tuple((s, c) for s, c in combined.items() if c != 0))
 
     def symbols(self):
         return tuple(s for s, _ in self.entries)
@@ -126,18 +114,12 @@ class Term(namedtuple("Term", "coefficient slots")):
     __slots__ = ()
 
 
-class TensorExpr:
+class TensorExpr(_Immutable):
     __slots__ = ("terms", "field")
 
     def __init__(self, terms, field: str = RATIONAL):
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "field", field)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorExpr is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("TensorExpr is immutable")
 
     @property
     def order(self) -> int:

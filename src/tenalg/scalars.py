@@ -53,19 +53,11 @@ def same_field(a: str, b: str) -> str:
 
 
 def zero(field: str):
-    if field == RATIONAL:
-        return Fraction(0)
-    if field == REAL:
-        return 0.0
-    return complex(0.0, 0.0)
+    return _TYPES[check_field(field)](0)
 
 
 def one(field: str):
-    if field == RATIONAL:
-        return Fraction(1)
-    if field == REAL:
-        return 1.0
-    return complex(1.0, 0.0)
+    return _TYPES[check_field(field)](1)
 
 
 def coerce(field: str, value):

@@ -27,7 +27,7 @@ from collections.abc import Sequence
 
 from . import scalars
 from .algebra import TruncatedTensor, _check_budget, concat_product, unit
-from .dense import DenseTensor, tensor_product
+from .dense import DenseTensor, _Immutable, tensor_product
 from .scalars import REAL, real_literal
 
 __all__ = [
@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 
-class PiecewiseLinearPath:
+class PiecewiseLinearPath(_Immutable):
     """Uniformly parameterized piecewise-linear path through K >= 1 finite points.
 
     Each coordinate enters the real field through :func:`tenalg.scalars.coerce`:
@@ -61,9 +61,6 @@ class PiecewiseLinearPath:
             raise ValueError("sample points must be finite, got NaN or an infinity")
         object.__setattr__(self, "points", tuple(pts))
         object.__setattr__(self, "d", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PiecewiseLinearPath is immutable")
 
     @property
     def segments(self) -> int:

@@ -143,6 +143,30 @@ def test_decompose_human_format(tmp_path, capsys):
     assert "⊗" in out and "+" in out
 
 
+def test_decompose_human_format_golden(tmp_path, capsys):
+    # 3x2, rank 2: the 3-row d1 blocks are taller than the 2-row d2 blocks,
+    # and "1/2" and "-3" make the columns of different widths
+    f = tmp_path / "M.json"
+    f.write_text(
+        '{"shape": [3, 2], "field": "rational", "coeffs": ["1", "1/2", "0", "-3", "2", "1"]}',
+        encoding="utf-8",
+    )
+    code, out, _ = run(capsys, "decompose", str(f))
+    assert code == 0
+    assert out == (
+        "rank 2\n"
+        "( 1 )   ( 1 )   ( 1/2 )   ( 0 )\n"
+        "( 0 ) ⊗ ( 0 ) + (  -3 ) ⊗ ( 1 )\n"
+        "( 2 )           (   1 )\n"
+    )
+
+
+def test_decompose_human_format_rank_zero(tmp_path, capsys):
+    f = tmp_path / "Z.json"
+    f.write_text('{"shape": [2, 2], "field": "rational", "coeffs": ["0", "0", "0", "0"]}', encoding="utf-8")
+    assert run(capsys, "decompose", str(f)) == (0, "rank 0\n0\n", "")
+
+
 def test_factor_exact(capsys):
     code, out, _ = run(capsys, "factor", "a1@b1 + a1@b2 + a2@b1 + a2@b2")
     assert code == 0

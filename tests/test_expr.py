@@ -747,6 +747,9 @@ def test_slot_vector_normalization():
     sv = SlotVector((("a", F(1)), ("b", F(2)), ("a", F(-1))))
     assert dict(sv.entries) == {"b": F(2)}
     assert SlotVector((("a", F(1)), ("a", F(-1)))).is_zero()
+    # first-appearance order, even for a symbol that cancels and comes back
+    sv = SlotVector([("a", F(1)), ("b", F(2)), ("a", F(-1)), ("a", F(3))])
+    assert sv.entries == (("a", F(3)), ("b", F(2)))
 
 
 def test_slot_vector_equality_is_order_insensitive():

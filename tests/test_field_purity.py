@@ -31,6 +31,7 @@ from tenalg import (
     tensor_product,
     unit,
 )
+from tenalg import scalars
 
 FIELD_TYPE = {RATIONAL: Fraction, REAL: float, COMPLEX: complex}
 ints = st.integers(-5, 5)
@@ -46,6 +47,21 @@ def assert_pure(value, field):
     assert value.field == field
     for c in coefficients(value):
         assert type(c) is FIELD_TYPE[field], (c, field)
+
+
+@pytest.mark.parametrize(
+    "field, zero, one",
+    [(RATIONAL, Fraction(0), Fraction(1)), (REAL, 0.0, 1.0), (COMPLEX, 0j, 1 + 0j)],
+)
+def test_field_constants_have_the_field_type(field, zero, one):
+    assert type(scalars.zero(field)) is FIELD_TYPE[field] and scalars.zero(field) == zero
+    assert type(scalars.one(field)) is FIELD_TYPE[field] and scalars.one(field) == one
+
+
+@pytest.mark.parametrize("constant", ["zero", "one"])
+def test_field_constants_refuse_an_unknown_field(constant):
+    with pytest.raises(ValueError, match="unknown scalar field 'bogus'"):
+        getattr(scalars, constant)("bogus")
 
 
 @st.composite

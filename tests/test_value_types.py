@@ -46,12 +46,14 @@ def test_attribute_assignment_raises(cls, value, field, name):
 
 @pytest.mark.parametrize(
     "value, field",
-    [(_DEC, "d1"), (_SIG, "value"), (_TERM, "slots"), (_EXPR, "terms")],
-    ids=["RankDecomposition", "Signature", "Term", "TensorExpr"],
+    [(_DEC, "d1"), (_SIG, "value"), (_TERM, "slots"), (_EXPR, "terms")]
+    + [(value, field) for _, value, field in _VALUES[4:]],
+    ids=["RankDecomposition", "Signature", "Term", "TensorExpr"] + [cls.__name__ for cls, _, _ in _VALUES[4:]],
 )
 def test_record_and_expression_fields_cannot_be_deleted(value, field):
     with pytest.raises(AttributeError):
         delattr(value, field)
+    repr(value)  # the field is still there
 
 
 @pytest.mark.parametrize(
