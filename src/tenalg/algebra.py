@@ -16,7 +16,6 @@ lexicographically, which coincides with the row-major layout of the levels.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from collections.abc import Sequence
 from fractions import Fraction
@@ -328,6 +327,7 @@ def inverse(x: TruncatedTensor) -> TruncatedTensor:
 
 def project(x: TruncatedTensor, M: int) -> TruncatedTensor:
     """Keep levels 0..M.  A product morphism: commutes with multiplication."""
+    M = _as_size(M, ValueError)
     if not 0 <= M <= x.N:
         raise ValueError(f"projection level {M} out of range 0..{x.N}")
     return TruncatedTensor._trusted(x.d, M, x.flats[: M + 1], x.field)
@@ -368,7 +368,7 @@ def tt_from_json(obj: dict) -> TruncatedTensor:
 
 
 def dump_tt(x: TruncatedTensor) -> str:
-    return json.dumps(tt_to_json(x))
+    return scalars.dump_json(tt_to_json(x))
 
 
 def load_tt(text: str) -> TruncatedTensor:

@@ -4,44 +4,33 @@ Exit codes: 0 on success, 1 on user error (bad input, unknown command),
 2 on numerical failure (e.g. SVD non-convergence).  Every reader of outside
 input raises :class:`ValueError` (or :class:`OSError` for a file) where it
 finds the input bad, so :func:`main` turns only those into exit 1; any other
-exception is a bug and ends in a traceback.  All output is UTF-8 and
-deterministic for a fixed argument vector.
+exception is a bug and ends in a traceback.  Files are read and results
+written only through the library codecs (``load_tensor``, ``load_tt``,
+``dump_tt``, ``scalars.dump_json``).  All output is UTF-8 and deterministic
+for a fixed argument vector.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
 from . import __version__, algebra, expr, rank, scalars, signature
-from .dense import tensor_from_json
+from .dense import load_tensor
 from .scalars import COMPLEX, MAX_DIGITS, RATIONAL, REAL
 
 
-def _read_json(path: str):
+def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return scalars.load_json(fh.read())
-
-
-class NonFiniteResultError(ArithmeticError):
-    """A computed coefficient overflowed to an infinity or NaN."""
-
-
-def _print_json(obj) -> None:
-    try:
-        text = json.dumps(obj, allow_nan=False)
-    except ValueError as exc:
-        raise NonFiniteResultError(f"the result holds a NaN or an infinity ({exc})") from None
-    print(text)
+        return fh.read()
 
 
 # -- pretty rendering of sum-of-outer-products ------------------------------
 
 
 def _vector_block(values, field):
-    strs = [scalars.rational_str(v) if field == RATIONAL else repr(v) for v in values]
+    strs = [scalars.to_text(field, v) for v in values]
     width = max(len(s) for s in strs)
     return ["( " + s.rjust(width) + " )" for s in strs]
 
@@ -71,13 +60,7 @@ def _decomposition_json(dec: rank.RankDecomposition, shape) -> dict:
         "rank": dec.r,
         "field": dec.field,
         "shape": list(shape),
-        "terms": [
-            [
-                [scalars.to_json(dec.field, x) for x in dec.d1[l]],
-                [scalars.to_json(dec.field, x) for x in dec.d2[l]],
-            ]
-            for l in range(dec.r)
-        ],
+        "terms": [[[scalars.to_json(dec.field, x) for x in v] for v in uv] for uv in zip(dec.d1, dec.d2)],
     }
 
 
@@ -99,18 +82,18 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    print(rank.matrix_rank(tensor_from_json(_read_json(args.file)), args.method))
+    print(rank.matrix_rank(load_tensor(_read(args.file)), args.method))
     return 0
 
 
 def _cmd_decompose(args) -> int:
-    t = tensor_from_json(_read_json(args.file))
+    t = load_tensor(_read(args.file))
     if args.method == "rref":
         dec = rank.rank_decompose_rref(t)
     else:
         dec = rank.rank_decompose_svd(t)
     if args.json:
-        _print_json(_decomposition_json(dec, t.shape))
+        print(scalars.dump_json(_decomposition_json(dec, t.shape)))
     else:
         print(f"rank {dec.r}")
         print(render_decomposition(dec))
@@ -140,7 +123,7 @@ def _cmd_factor(args) -> int:
         payload["term_count"] = len(factored.terms)
         if status is not None:
             payload["status"] = status
-        _print_json(payload)
+        print(scalars.dump_json(payload))
     else:
         print(expr.render(factored))
         print(f"terms: {len(factored.terms)}")
@@ -154,7 +137,7 @@ def _cmd_expand(args) -> int:
     if args.json:
         payload = expr.expr_to_json(expanded)
         payload["term_count"] = len(expanded.terms)
-        _print_json(payload)
+        print(scalars.dump_json(payload))
     else:
         print(expr.render(expanded))
     return 0
@@ -169,16 +152,16 @@ def _cmd_sig(args) -> int:
         sig = signature.path_signature(path, args.depth, args.s, args.t)
     payload = algebra.tt_to_json(sig.value)
     payload["interval"] = [sig.interval[0], sig.interval[1]]
-    _print_json(payload)
+    print(scalars.dump_json(payload))
     return 0
 
 
 def _cmd_algebra(args) -> int:
-    x = algebra.tt_from_json(_read_json(args.files[0]))
+    x = algebra.load_tt(_read(args.files[0]))
     if args.op == "mul":
         if len(args.files) != 2:
             raise ValueError("mul needs exactly two operand files")
-        y = algebra.tt_from_json(_read_json(args.files[1]))
+        y = algebra.load_tt(_read(args.files[1]))
         out = algebra.concat_product(x, y)
     elif args.op == "inv":
         if len(args.files) != 1:
@@ -190,7 +173,7 @@ def _cmd_algebra(args) -> int:
         if args.level is None:
             raise ValueError("project needs --level")
         out = algebra.project(x, args.level)
-    _print_json(algebra.tt_to_json(out))
+    print(algebra.dump_tt(out))
     return 0
 
 
@@ -285,7 +268,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except (rank.ConvergenceError, NonFiniteResultError) as exc:
+    except (rank.ConvergenceError, scalars.NonFiniteResultError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

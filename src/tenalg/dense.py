@@ -14,7 +14,6 @@ deletion; their constructors set fields with ``object.__setattr__``.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from collections.abc import Iterable, Sequence
@@ -279,7 +278,7 @@ def tensor_from_json(obj: dict) -> DenseTensor:
 
 
 def dump_tensor(t: DenseTensor) -> str:
-    return json.dumps(tensor_to_json(t))
+    return scalars.dump_json(tensor_to_json(t))
 
 
 def load_tensor(text: str) -> DenseTensor:

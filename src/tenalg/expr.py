@@ -36,7 +36,7 @@ from itertools import product as iter_product
 
 from . import scalars
 from .algebra import MAX_COEFFS
-from .dense import DenseTensor, _Immutable
+from .dense import DenseTensor, _as_size, _Immutable
 from .rank import _residual, rank_decompose_rref, rank_decompose_svd
 from .scalars import COMPLEX, RATIONAL, REAL
 
@@ -297,16 +297,6 @@ def parse(text: str) -> TensorExpr:
 # -- rendering ---------------------------------------------------------------
 
 
-def _scalar_str(field: str, value) -> str:
-    if field == RATIONAL:
-        return scalars.rational_str(value)
-    if field == REAL:
-        return repr(value)
-    re_part, im_part = value.real, value.imag
-    op = "+" if im_part >= 0 else "-"
-    return f"({re_part!r}{op}{abs(im_part)!r}i)"
-
-
 def _split_sign(field: str, coeff):
     if field == COMPLEX:
         return 1, coeff
@@ -321,7 +311,7 @@ def _signed_join(field: str, pieces) -> str:
     for idx, (coeff, body) in enumerate(pieces):
         sgn, mag = _split_sign(field, coeff)
         if mag != scalars.one(field):
-            body = f"{_scalar_str(field, mag)} {body}"
+            body = f"{scalars.to_text(field, mag)} {body}"
         if idx == 0:
             out.append(("-" if sgn < 0 else "") + body)
         else:
@@ -627,6 +617,7 @@ def factor_heuristic_higher_order(
         )
     if field not in (REAL, COMPLEX):
         raise ValueError("heuristic factoring works over the real or complex field")
+    max_rank = _as_size(max_rank, ValueError)
     if max_rank < 1:
         raise ValueError("max_rank must be >= 1")
     if not _live_terms(e.terms):

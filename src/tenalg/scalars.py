@@ -8,6 +8,9 @@ numbers genuinely differ and the choice must stay visible.
 
 Rationals compare exactly.  Reals and complex values compare with a combined
 absolute/relative tolerance ``EPS_F``.
+
+Every rule for how a scalar or a JSON document enters or leaves tenalg is
+written here once, including the one JSON reader and the one JSON writer.
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ FIELDS = (RATIONAL, REAL, COMPLEX)
 # the one Python type every coefficient of a field has
 _TYPES = {RATIONAL: Fraction, REAL: float, COMPLEX: complex}
 
+# the Python types that embed into each field (a bool never does)
+_EMBEDS = {RATIONAL: (int, Fraction), REAL: (int, float, Fraction), COMPLEX: (int, float, complex, Fraction)}
+
 # absolute + relative tolerance for float/complex component comparison
 EPS_F = 1e-9
 
@@ -38,6 +44,10 @@ MAX_DIGITS = 4300
 
 class FieldMismatchError(ValueError):
     """Operands from two different scalar fields were combined."""
+
+
+class NonFiniteResultError(ArithmeticError):
+    """A computed coefficient overflowed to an infinity or NaN."""
 
 
 def check_field(field: str) -> str:
@@ -71,19 +81,13 @@ def coerce(field: str, value):
     """
     if type(value) is _TYPES.get(field):
         return value
-    check_field(field)
+    if not isinstance(value, _EMBEDS[check_field(field)]) or isinstance(value, bool):
+        hint = "; use Fraction or int" if field == RATIONAL else ""
+        raise FieldMismatchError(f"cannot place {value!r} in the {field} field{hint}")
     if field == RATIONAL:
-        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-            raise FieldMismatchError(
-                f"cannot place {value!r} in the rational field; use Fraction or int"
-            )
         return Fraction(value)
     if field == REAL:
-        if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
-            raise FieldMismatchError(f"cannot place {value!r} in the real field")
         return _float(value)
-    if isinstance(value, bool) or not isinstance(value, (int, float, complex, Fraction)):
-        raise FieldMismatchError(f"cannot place {value!r} in the complex field")
     return complex(value if isinstance(value, complex) else _float(value))
 
 
@@ -115,8 +119,9 @@ def check_finite(field: str, values) -> None:
     """Raise :class:`ValueError` if a real or complex value is NaN or infinite.
 
     A JSON reader turns a literal that overflows, such as ``1e999``, into an
-    infinity, so every real or complex operand read from JSON takes this one
-    pass before it reaches a kernel.  Rationals are always finite.
+    infinity, so every real or complex operand read from JSON, like every
+    path point, takes this one pass before it reaches a kernel.  Rationals
+    are always finite.
     """
     if field == RATIONAL:
         return
@@ -150,6 +155,17 @@ def rational_str(value: Fraction) -> str:
     except ValueError:  # beyond the interpreter's int/str limit
         pass
     raise ValueError(f"a rational result has a numerator or denominator of more than {MAX_DIGITS} digits")
+
+
+def to_text(field: str, value) -> str:
+    """One scalar as tenalg prints it in text: a rational as :func:`rational_str`,
+    a real as ``repr``, a complex value as ``(a+bi)`` or ``(a-bi)``."""
+    if field == RATIONAL:
+        return rational_str(value)
+    if field == REAL:
+        return repr(value)
+    op = "+" if value.imag >= 0 else "-"
+    return f"({value.real!r}{op}{abs(value.imag)!r}i)"
 
 
 def to_json(field: str, value):
@@ -242,3 +258,12 @@ def load_json(text: str):
         return json.loads(text, parse_constant=_reject_constant, parse_int=integer_literal)
     except RecursionError:
         raise ValueError("JSON input is nested too deeply") from None
+
+
+def dump_json(obj) -> str:
+    """Write a JSON document as every tenalg writer does: a NaN or an infinity,
+    which :func:`load_json` would refuse, raises :class:`NonFiniteResultError`."""
+    try:
+        return json.dumps(obj, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteResultError(f"the result holds a NaN or an infinity ({exc})") from None

@@ -21,13 +21,12 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import math
 from collections import namedtuple
 from collections.abc import Sequence
 
 from . import scalars
 from .algebra import TruncatedTensor, _check_budget, concat_product, unit
-from .dense import DenseTensor, _Immutable, tensor_product
+from .dense import DenseTensor, _as_size, _Immutable, tensor_product
 from .scalars import REAL, real_literal
 
 __all__ = [
@@ -57,8 +56,7 @@ class PiecewiseLinearPath(_Immutable):
             raise ValueError("sample points must have dimension >= 1")
         if any(len(p) != d for p in pts):
             raise ValueError("all sample points must share one dimension")
-        if not all(map(math.isfinite, itertools.chain.from_iterable(pts))):
-            raise ValueError("sample points must be finite, got NaN or an infinity")
+        scalars.check_finite(REAL, itertools.chain.from_iterable(pts))
         object.__setattr__(self, "points", tuple(pts))
         object.__setattr__(self, "d", d)
 
@@ -157,6 +155,7 @@ def oracle_signature(
     """
     d = path.d
     _check_budget(d, N)
+    steps = _as_size(steps, ValueError)
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if not 0.0 <= s <= t <= 1.0:

@@ -9,12 +9,18 @@ from tenalg import (
     REAL,
     DenseTensor,
     FieldMismatchError,
+    PiecewiseLinearPath,
     ShapeMismatchError,
     add,
     basis_vector,
+    factor_heuristic_higher_order,
     multi_tensor_product,
+    oracle_signature,
+    parse,
+    project,
     scale,
     tensor_product,
+    unit,
 )
 from tenalg.dense import load_tensor, dump_tensor
 
@@ -201,6 +207,26 @@ def test_string_dimension_is_refused():
 def test_index_dimension_is_accepted_as_int():
     shape = DenseTensor.zeros((_Two(), 3)).shape
     assert shape == (2, 3) and all(type(d) is int for d in shape)
+
+
+# every size argument follows the rule of a shape entry, with ValueError
+SIZE_ARGUMENTS = {
+    "project M": lambda n: project(unit(2, 2), n).N,
+    "oracle_signature steps": lambda n: oracle_signature(PiecewiseLinearPath([[0.0], [1.0]]), 1, steps=n).depth,
+    "factor_heuristic_higher_order max_rank": lambda n: len(factor_heuristic_higher_order(parse("u1@v1@w1"), n)[0].terms),
+}
+
+
+@pytest.mark.parametrize("size", [True, 1.0, "1"])
+@pytest.mark.parametrize("call", SIZE_ARGUMENTS.values(), ids=SIZE_ARGUMENTS.keys())
+def test_size_arguments_refuse_a_bool_a_float_and_a_string(call, size):
+    with pytest.raises(ValueError, match="sizes must be integers"):
+        call(size)
+
+
+@pytest.mark.parametrize("call", SIZE_ARGUMENTS.values(), ids=SIZE_ARGUMENTS.keys())
+def test_size_arguments_accept_an_index_type(call):
+    assert type(call(_Two())) is int
 
 
 # -- algebraic laws --------------------------------------------------------------

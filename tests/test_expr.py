@@ -756,3 +756,28 @@ def test_slot_vector_equality_is_order_insensitive():
     assert SlotVector((("a", F(1)), ("b", F(2)))) == SlotVector(
         (("b", F(2)), ("a", F(1)))
     )
+
+
+def test_render_real_golden():
+    # repr floats: a negative entry, a subnormal and the largest float
+    e = TensorExpr(
+        (
+            Term(-2.5, (SlotVector([("a1", 1.0), ("a2", -0.125)]), SlotVector([("b1", 1.0)]))),
+            Term(1e-300, (SlotVector([("a1", 3.0)]), SlotVector([("b2", 1.0), ("b1", -1.7976931348623157e308)]))),
+            Term(1.0, (SlotVector([("a2", 5e-324)]), SlotVector([("b2", 1.0)]))),
+        ),
+        REAL,
+    )
+    assert render(e) == "-2.5 (a1 - 0.125 a2)@b1 + 1e-300 (3.0 a1)@(b2 - 1.7976931348623157e+308 b1) + (5e-324 a2)@b2"
+
+
+def test_render_complex_golden():
+    # (a+bi) literals: a negative imaginary part, a -0.0 imaginary part (printed +0.0) and a -0.0 real part
+    e = TensorExpr(
+        (
+            Term(complex(1.5, -2.0), (SlotVector([("a1", 1 + 0j), ("a2", complex(2.0, -0.0))]), SlotVector([("b1", 1 + 0j)]))),
+            Term(complex(-0.0, 0.25), (SlotVector([("a1", complex(-3.0, -1e-20))]), SlotVector([("b2", 1 + 0j)]))),
+        ),
+        COMPLEX,
+    )
+    assert render(e) == "(1.5-2.0i) (a1 + (2.0+0.0i) a2)@b1 + (-0.0+0.25i) ((-3.0-1e-20i) a1)@b2"

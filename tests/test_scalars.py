@@ -1,5 +1,6 @@
 """The JSON scalar decoder: a rational is read in one form, the form tenalg writes."""
 
+import math
 import re
 import sys
 import time
@@ -9,9 +10,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tenalg.algebra import load_tt
-from tenalg.dense import load_tensor
-from tenalg.scalars import COMPLEX, RATIONAL, REAL, coerce, from_json, integer_literal, real_literal, to_json
+from tenalg.algebra import TruncatedTensor, concat_product, dump_tt, load_tt
+from tenalg.dense import DenseTensor, dump_tensor, load_tensor, tensor_product
+from tenalg.scalars import (
+    COMPLEX,
+    RATIONAL,
+    REAL,
+    FieldMismatchError,
+    NonFiniteResultError,
+    coerce,
+    from_json,
+    integer_literal,
+    real_literal,
+    to_json,
+)
 
 # the one rational literal, written out independently of the decoder
 _LITERAL = re.compile(r"-?[0-9]{1,4300}(?:/([0-9]{1,4300}))?")
@@ -154,6 +166,20 @@ def test_coerce_beyond_the_float_range_is_a_value_error(field, value):
 
 
 @pytest.mark.parametrize(
+    "field, value, message",
+    [
+        (RATIONAL, 0.5, "cannot place 0.5 in the rational field; use Fraction or int"),
+        (REAL, "1", "cannot place '1' in the real field"),
+        (COMPLEX, True, "cannot place True in the complex field"),
+    ],
+)
+def test_coerce_names_the_refused_value_and_the_field(field, value, message):
+    with pytest.raises(FieldMismatchError) as info:
+        coerce(field, value)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
     "field, obj",
     [(COMPLEX, obj)
      for obj in ([True, 1], [1, False], ["1.5", "2"], [[1], 2], [{}, 1], [None, 0], [10**400, 0], "1")]
@@ -200,6 +226,67 @@ def test_loaders_refuse_non_finite_constants(load, constant):
     doc = f'{{"field": "real", "shape": [1, 1], "coeffs": [{constant}], "d": 1, "N": 0, "levels": [[{constant}]]}}'
     with pytest.raises(ValueError, match=f"non-finite number {constant} in JSON input"):
         load(doc)
+
+
+# -- the one JSON writer, behind both library writers --------------------------
+
+
+def _overflowing_tensor():
+    v = DenseTensor.vector([1e200], REAL)
+    return dump_tensor(tensor_product(v, v))
+
+
+def _overflowing_tt():
+    x = TruncatedTensor.from_flat_levels(1, 1, [[1e308], [1e308]], REAL)
+    return dump_tt(concat_product(x, x))
+
+
+@pytest.mark.parametrize("dump", [_overflowing_tensor, _overflowing_tt], ids=["dump_tensor", "dump_tt"])
+def test_writers_refuse_a_non_finite_result(dump):
+    # the CLI exits 2 on it: a numerical failure, not a ValueError of bad input
+    with pytest.raises(NonFiniteResultError, match=r"^the result holds a NaN or an infinity \(") as info:
+        dump()
+    assert isinstance(info.value, ArithmeticError) and not isinstance(info.value, ValueError)
+
+
+# finite floats, with -0.0, subnormals and the ends of the float range drawn often
+_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225e-308, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_SCALARS = {
+    RATIONAL: st.fractions(),
+    REAL: _floats,
+    COMPLEX: st.builds(complex, _floats, _floats),
+}
+
+
+def _exact(values):
+    """Each value's type and repr: equal lists are the same values, -0.0 apart from 0.0."""
+    return [(type(c), repr(c)) for c in values]
+
+
+@st.composite
+def _tensors(draw, field):
+    shape = tuple(draw(st.lists(st.integers(1, 3), max_size=3)))
+    return DenseTensor(shape, draw(st.lists(_SCALARS[field], min_size=math.prod(shape), max_size=math.prod(shape))), field)
+
+
+@st.composite
+def _tts(draw, field):
+    d, N = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    levels = [draw(st.lists(_SCALARS[field], min_size=d**n, max_size=d**n)) for n in range(N + 1)]
+    return TruncatedTensor.from_flat_levels(d, N, levels, field)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([RATIONAL, REAL, COMPLEX]).flatmap(lambda f: st.tuples(_tensors(f), _tts(f))))
+def test_writers_and_loaders_round_trip_every_value_exactly(pair):
+    t, x = pair
+    back = load_tensor(dump_tensor(t))
+    assert back.coeffs == t.coeffs and _exact(back.coeffs) == _exact(t.coeffs)
+    flats = load_tt(dump_tt(x)).flats
+    assert flats == x.flats and list(map(_exact, flats)) == list(map(_exact, x.flats))
 
 
 @settings(max_examples=500, deadline=None)
