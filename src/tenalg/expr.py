@@ -548,6 +548,13 @@ def _draw(rng, field: str):
     return complex(x, rng.uniform(-1, 1)) if field == COMPLEX else x
 
 
+def _ldexp(c, k: int):
+    """``c * 2^k`` for a real or complex ``c``: exact while it stays in the normal range."""
+    if isinstance(c, complex):
+        return complex(math.ldexp(c.real, k), math.ldexp(c.imag, k))
+    return math.ldexp(c, k)
+
+
 def _unfoldings(dims, target) -> list:
     """Mode unfoldings of the flat row-major ``target`` of shape ``dims``: row
     ``i`` of unfolding ``n`` lists the entries whose slot-``n`` index is ``i``,
@@ -602,9 +609,10 @@ def factor_heuristic_higher_order(
     """ALS sweep over candidate ranks 1..max_rank for order >= 3 expressions.
 
     Returns ``(expression, status)``.  On the first rank whose fit re-expands
-    within ``ALS_TOL`` (max-component residual) the factored expression is
-    returned with status ``"verified-upper-bound"``; this is an upper bound
-    on the rank, never a minimality claim.  If no candidate rank fits, the
+    within ``ALS_TOL`` times 2^k (max-component residual), with 2^k <=
+    max|coefficient| < 2^(k+1), the factored expression is returned with
+    status ``"verified-upper-bound"``; this is an upper bound on the rank,
+    never a minimality claim.  If no candidate rank fits, the
     input's contributing terms are returned unchanged with status
     ``"failed"``.  Each rank gets ``ALS_RESTARTS`` fits of at most
     ``ALS_SWEEPS`` sweeps; restart ``i`` draws from ``random.Random(i)``, so
@@ -626,12 +634,20 @@ def factor_heuristic_higher_order(
     target = [scalars.coerce(field, c) for c in tensor.coeffs]
     if all(c == scalars.zero(field) for c in target):
         return TensorExpr((), field), "verified-upper-bound"
+    # fit target * 2^-k, 2^k <= max|target| < 2^(k+1); a power of two scales
+    # exactly, so ALS_TOL and the stall rule read relative to 2^k
+    k = math.frexp(max(map(abs, target)))[1] - 1
+    target = [_ldexp(c, -k) for c in target]
     unfolded = _unfoldings(tensor.shape, target)
     for r in range(1, max_rank + 1):
         for restart in range(ALS_RESTARTS):
             rng = random.Random(restart)
             _, terms = _als_fit(target, unfolded, r, field, rng, ALS_SWEEPS, ALS_TOL)
             if terms is not None:
+                try:
+                    terms = [[[_ldexp(c, k) for c in first], *rest] for first, *rest in terms]
+                except OverflowError:  # this fit has no float form at the input's scale
+                    continue
                 return _factored(basis, terms, field), "verified-upper-bound"
     return TensorExpr(_live_terms(e.terms), e.field), "failed"
 

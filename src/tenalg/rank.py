@@ -94,11 +94,6 @@ def _matrix(M, field: str) -> DenseTensor:
     return DenseTensor(M.shape, M.coeffs, REAL)
 
 
-def _rows(t: DenseTensor) -> list:
-    m = t.shape[1]
-    return [t.coeffs[i : i + m] for i in range(0, t.size, m)]
-
-
 def _bareiss(A: DenseTensor) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free Gauss-Jordan elimination of a rational matrix over ints.
 
@@ -108,7 +103,7 @@ def _bareiss(A: DenseTensor) -> tuple[list[list[int]], list[int], int]:
     :func:`rref` for the method.
     """
     n, m = A.shape
-    B = [integer_row(row)[1] for row in _rows(A)]
+    B = [integer_row(row)[1] for row in A.tolists()]
     pivots: list[int] = []
     row = 0
     prev = 1
@@ -189,26 +184,6 @@ def _transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def _gram_schmidt_complete(cols: list[list[float]], n: int) -> list[list[float]]:
-    """Extend a set of orthonormal n-vectors to an orthonormal basis of R^n."""
-    basis = [c[:] for c in cols]
-    for k in range(n):
-        if len(basis) == n:
-            break
-        v = [0.0] * n
-        v[k] = 1.0
-        for _ in range(2):  # re-orthogonalize once for stability
-            for b in basis:
-                dot = sum(map(operator.mul, v, b))
-                v = [x - dot * y for x, y in zip(v, b)]
-        norm = math.sqrt(sum(map(operator.mul, v, v)))
-        if norm > 1e-8:
-            basis.append([x / norm for x in v])
-    if len(basis) != n:
-        raise ConvergenceError("failed to complete an orthonormal basis")
-    return basis
-
-
 def _scaled_columns(cols) -> tuple[int, list[list[float]]]:
     """``(e, cols * 2^-e)`` with 2^e the power of two at or above the largest |entry|.
 
@@ -277,47 +252,19 @@ def _jacobi_sweeps(w: list[list[float]], v=None) -> list[float]:
     return norm2
 
 
-def _reflect(house, x: list[float]) -> list[float]:
-    """Q x for Q = H_0 H_1 ... H_{k-1}, the stored reflectors of :func:`_qr_jacobi`.
+def _householder_qr(a: list[list[float]], drop: float):
+    """Householder QR with column pivoting, A P = Q R: ``(R, house, perm)``.
 
-    ``house[j]`` is ``(u, h)``: H_j = I - u u^T / h acts on entries j.. of x.
+    ``a`` is the list of A's columns, overwritten.  ``house`` holds the
+    reflectors of Q (see :func:`_reflect`) and ``R`` the k rows computed,
+    with k the first step at which the trailing block's Frobenius norm is at
+    most ``drop`` times the largest column norm, or A's column count.
     """
-    for j in range(len(house) - 1, -1, -1):
-        u, h = house[j]
-        tail = x[j:]
-        f = sum(map(operator.mul, u, tail)) / h
-        if f:
-            x[j:] = [xi - f * ui for xi, ui in zip(tail, u)]
-    return x
-
-
-def _qr_jacobi(cols, n: int, m: int, vectors: bool):
-    """SVD of the tall orientation A of an n x m matrix: ``(sigma, U, V)``.
-
-    ``cols`` holds the p = min(n, m) columns of A, each of length N = max(n,
-    m).  The input is scaled by a power of two (:func:`_scaled_columns`).
-    Householder QR with column pivoting (Businger & Golub 1965), A P = Q R,
-    stops at step k once the trailing block's Frobenius norm is at most
-    ``_QR_DROP * EPS_RANK * N`` times the largest column norm.  That norm is
-    at most sigma_max, so by Weyl's inequality dropping the block moves each
-    singular value by at most ``_QR_DROP`` times the rank threshold of
-    :func:`numeric_rank`.  One-sided Jacobi then runs on the k kept rows of
-    R, taken as columns (Drmač & Veselić 2008): it rotates them into
-    orthogonal columns C = R_k^T W, so R_k = W C^T and A = (Q_k W) C^T P^T.
-
-    ``sigma`` holds the norms of C, non-increasing and scaled back, then p -
-    k zeros.  With ``vectors`` set, W is accumulated and U (N columns) is Q
-    applied to W padded with zeros, completed by Q's own columns Q e_j for
-    j >= k; V (p columns) is P applied to C's columns normalized, completed by
-    :func:`_gram_schmidt_complete`.  Without it U and V are None, and W,
-    which never feeds back into R, is not formed: sigma has the same bits.
-    """
-    e, a = _scaled_columns(cols)
-    N, p = max(n, m), len(a)
+    p = len(a)
     perm = list(range(p))
     # squared norms of the columns' active parts: rows j.. at step j
     norm2 = [sum(map(operator.mul, col, col)) for col in a]
-    drop2 = (_QR_DROP * EPS_RANK * N) ** 2 * max(norm2, default=0.0)
+    drop2 = drop**2 * max(norm2, default=0.0)
     R, house = [], []
     for j in range(p):
         if sum(norm2[j:]) <= drop2:
@@ -343,6 +290,53 @@ def _qr_jacobi(cols, n: int, m: int, vectors: bool):
             norm2[c] = sum(map(operator.mul, y, y))
         R.append(row)
         house.append((u, h))
+    return R, house, perm
+
+
+def _reflect(house, x: list[float]) -> list[float]:
+    """Q x for Q = H_0 H_1 ... H_{k-1}, the stored reflectors of :func:`_householder_qr`.
+
+    ``house[j]`` is ``(u, h)``: H_j = I - u u^T / h acts on entries j.. of x.
+    """
+    for j in range(len(house) - 1, -1, -1):
+        u, h = house[j]
+        tail = x[j:]
+        f = sum(map(operator.mul, u, tail)) / h
+        if f:
+            x[j:] = [xi - f * ui for xi, ui in zip(tail, u)]
+    return x
+
+
+def _completed(house, cols: list[list[float]], n: int) -> list[list[float]]:
+    """``cols``, then Q e_j for len(cols) <= j < n, with Q the reflectors ``house``."""
+    return cols + [_reflect(house, [float(i == j) for i in range(n)]) for j in range(len(cols), n)]
+
+
+def _qr_jacobi(cols, n: int, m: int, vectors: bool):
+    """SVD of the tall orientation A of an n x m matrix: ``(sigma, U, V)``.
+
+    ``cols`` holds the p = min(n, m) columns of A, each of length N = max(n,
+    m).  The input is scaled by a power of two (:func:`_scaled_columns`).
+    Householder QR with column pivoting (Businger & Golub 1965), A P = Q R,
+    stops at step k once the trailing block's Frobenius norm is at most
+    ``_QR_DROP * EPS_RANK * N`` times the largest column norm.  That norm is
+    at most sigma_max, so by Weyl's inequality dropping the block moves each
+    singular value by at most ``_QR_DROP`` times the rank threshold of
+    :func:`numeric_rank`.  One-sided Jacobi then runs on the k kept rows of
+    R, taken as columns (Drmač & Veselić 2008): it rotates them into
+    orthogonal columns C = R_k^T W, so R_k = W C^T and A = (Q_k W) C^T P^T.
+
+    ``sigma`` holds the norms of C, non-increasing and scaled back, then p -
+    k zeros.  With ``vectors`` set, W is accumulated and U (N columns) is Q
+    applied to W padded with zeros, completed by Q's own columns Q e_j for
+    j >= k; V (p columns) is P applied to C's columns normalized, completed
+    by the same rule from a QR of those columns.  Without it U and V are
+    None, and W, which never feeds back into R, is not formed: sigma has the
+    same bits.
+    """
+    e, a = _scaled_columns(cols)
+    N, p = max(n, m), len(a)
+    R, house, perm = _householder_qr(a, _QR_DROP * EPS_RANK * N)
     k = len(R)
     W = [[float(i == l) for i in range(k)] for l in range(k)] if vectors else None
     norm2 = _jacobi_sweeps(R, W)
@@ -351,8 +345,7 @@ def _qr_jacobi(cols, n: int, m: int, vectors: bool):
     sig = _unscaled(scaled + [0.0] * (p - k), e)
     if not vectors:
         return sig, None, None
-    U = [_reflect(house, W[l] + [0.0] * (N - k)) for l in order]
-    U += [_reflect(house, [float(i == j) for i in range(N)]) for j in range(k, N)]
+    U = _completed(house, [_reflect(house, W[l] + [0.0] * (N - k)) for l in order], N)
     V = []
     for l, sg in zip(order, scaled):
         if sg > 0.0:
@@ -360,7 +353,9 @@ def _qr_jacobi(cols, n: int, m: int, vectors: bool):
             for j, x in zip(perm, R[l]):
                 v[j] = x / sg
             V.append(v)
-    return sig, U, _gram_schmidt_complete(V, p)
+    if len(V) < p:
+        V = _completed(_householder_qr(V[:], 0.0)[1], V, p)
+    return sig, U, V
 
 
 def _tall(M) -> tuple[int, int, list]:
@@ -369,7 +364,7 @@ def _tall(M) -> tuple[int, int, list]:
     t = _matrix(M, REAL)
     scalars.check_finite(REAL, t.coeffs)
     n, m = t.shape
-    rows = _rows(t)
+    rows = t.tolists()
     return n, m, rows if n < m else list(zip(*rows))
 
 

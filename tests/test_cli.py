@@ -254,6 +254,31 @@ def test_factor_als_failure_prints_only_contributing_terms(capsys, monkeypatch):
     assert run(capsys, "factor", z, *options) == (0, out, "")
 
 
+def _scaled_z(c):
+    """The Z expression with every coefficient multiplied by the rational literal ``c``."""
+    return f"{c} u1@v1@w1 + {c} u1@v2@w2 - {c} u2@v1@w2 + {c} u2@v2@w1"
+
+
+@pytest.mark.parametrize(
+    "text, options, terms",
+    [
+        ("1/1000000000 u1@v1@w1 + 1/1000000000 u2@v2@w2", ["--field", "complex", "--max-rank", "2"], 2),
+        (_scaled_z("1/1000000000"), ["--max-rank", "3"], 3),
+        (_scaled_z("1000000000000"), ["--max-rank", "3"], 3),
+        # a fit whose first slot overflows once scaled back is skipped, not printed
+        (_scaled_z("1" + "0" * 308), ["--max-rank", "3"], 3),
+    ],
+    ids=["rank-2-at-1e-9", "z-at-1e-9", "z-at-1e12", "z-at-1e308"],
+)
+def test_factor_als_status_does_not_depend_on_the_scale(capsys, text, options, terms):
+    # ALS_TOL is relative to the power of two at or below max|coefficient|:
+    # a tiny tensor no longer passes with too few terms, a huge one still fits
+    code, out, err = run(capsys, "factor", text, "--method", "als", *options)
+    assert (code, err) == (0, "")
+    assert out.endswith(f"\nterms: {terms}\nstatus: verified-upper-bound\n")
+    assert "inf" not in out and "nan" not in out
+
+
 def test_expand_error_names_the_end_of_input(capsys):
     code, out, err = run(capsys, "expand", "2")
     assert code == 1 and out == ""

@@ -539,6 +539,54 @@ def test_heuristic_field_monotonicity_on_z():
     assert len(f3.terms) == 3
 
 
+def _parts(x):
+    """The real, or real and imaginary, parts of a float or complex as exact Fractions."""
+    return [F(x.real), F(x.imag)] if isinstance(x, complex) else [F(x)]
+
+
+# the terms of the Z expression
+Z_TERMS = ["u1@v1@w1", "u1@v2@w2", "(-u2)@v1@w2", "u2@v2@w1"]
+
+
+@st.composite
+def _planted_exprs(draw):
+    """1-2 rank-1 terms with 3-4 slots over 2 symbols each and small integer factors."""
+    order = draw(st.integers(3, 4))
+    rank = draw(st.integers(1, 2))
+    ints = st.integers(-3, 3).filter(bool)
+    terms = []
+    for _ in range(rank):
+        slots = []
+        for k in range(order):
+            a, b = draw(ints), draw(ints)
+            x = "uvwx"[k]
+            slots.append(f"({a} {x}1 {'+-'[b < 0]} {abs(b)} {x}2)")
+        terms.append("@".join(slots))
+    return terms, rank
+
+
+@settings(deadline=None, max_examples=25)
+@given(_planted_exprs(), st.integers(-60, 60), st.sampled_from([REAL, COMPLEX]))
+@example((Z_TERMS, 3), -60, REAL)
+@example((Z_TERMS, 3), 60, REAL)
+def test_als_status_and_factors_follow_a_power_of_two_scaling(case, j, field):
+    terms, rank = case
+    c = str(2**j) if j >= 0 else f"1/{2**-j}"
+    text = " + ".join(terms)
+    scaled_text = " + ".join(f"{c} {t}" for t in terms)
+    f, status = factor_heuristic_higher_order(parse(text), rank, field)
+    g, scaled_status = factor_heuristic_higher_order(parse(scaled_text), rank, field)
+    assert scaled_status == status and len(g.terms) == len(f.terms)
+    if status == "failed":
+        assert g == parse(scaled_text)
+        return
+    for t, u in zip(f.terms, g.terms):
+        assert [sym for sym, _ in u.slots[0].entries] == [sym for sym, _ in t.slots[0].entries]
+        for (_, y), (_, x) in zip(u.slots[0].entries, t.slots[0].entries):
+            assert _parts(y) == [part * F(2) ** j for part in _parts(x)]
+        assert u.slots[1:] == t.slots[1:]
+
+
 def _reference_als_fit(dims, target, r, field, rng, sweeps, tol):
     """The ALS fit as it was before it read mode unfoldings: every sweep
     rebuilds the Khatri-Rao rows and offsets by index arithmetic."""

@@ -698,6 +698,8 @@ def scaled_planted_matrices(draw):
 @given(scaled_planted_matrices())
 @example([[0.0, 0.0, 0.0]])
 @example([[-1.0, 1.0], [1.0, -1.0], [2.0, 2.0]])
+@example([[1.0, -2.0, 3.0], [-2.0, 4.0, -6.0]])
+@example([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0], [1.0, 1.0, 1.0, 1.0], [2.0, 1.0, 2.0, 1.0]])
 def test_svd_keeps_its_contract_on_planted_matrices(mat):
     _check_svd_contract(mat)
     _check_svd_contract(_transpose(mat))

@@ -3,18 +3,22 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tenalg import (
     DenseTensor,
     FieldMismatchError,
     PiecewiseLinearPath,
+    concat_product,
+    inverse,
     oracle_signature,
     path_signature,
     project,
     segment_signature,
     unit,
 )
-from tenalg.scalars import REAL
+from tenalg.scalars import REAL, close
 from tenalg.signature import read_path_csv
 
 
@@ -127,6 +131,88 @@ def test_subinterval_midpoint_of_segment():
     p = PiecewiseLinearPath([[0, 0], [2, 0]])
     sig = path_signature(p, 1, 0.25, 0.75)
     assert sig.level(1) == DenseTensor.vector([1.0, 0.0], REAL)
+
+
+# -- algebraic properties ------------------------------------------------------------
+
+
+@st.composite
+def random_walks(draw, step=st.floats(-1, 1)):
+    """``(points, N)``: a walk of 1-5 steps in dimension 1-3 and a depth 1-5."""
+    d = draw(st.integers(1, 3))
+    point = [draw(step) for _ in range(d)]
+    points = [point]
+    for _ in range(draw(st.integers(1, 5))):
+        point = [x + draw(step) for x in point]
+        points.append(point)
+    return points, draw(st.integers(1, 5))
+
+
+def flat(x):
+    """The coefficients of a truncated tensor, level by level."""
+    return [c for level in x.levels for c in level.coeffs]
+
+
+def assert_close(got, want):
+    assert len(got) == len(want)
+    assert all(close(REAL, a, b) for a, b in zip(got, want)), (got, want)
+
+
+@settings(deadline=None, max_examples=100)
+@given(random_walks(), st.lists(st.floats(0, 1), min_size=3, max_size=3, unique=True))
+def test_chen_identity_splits_a_window_anywhere(walk, window):
+    points, N = walk
+    path = PiecewiseLinearPath(points)
+    s, u, t = sorted(window)
+    assume(u * path.segments != round(u * path.segments))  # u is not a grid point
+    whole = path_signature(path, N, s, t).value
+    halves = concat_product(path_signature(path, N, s, u).value, path_signature(path, N, u, t).value)
+    assert_close(flat(halves), flat(whole))
+
+
+@settings(deadline=None, max_examples=100)
+@given(random_walks())
+def test_the_reversed_path_has_the_inverse_signature(walk):
+    points, N = walk
+    forward = path_signature(PiecewiseLinearPath(points), N).value
+    backward = path_signature(PiecewiseLinearPath(points[::-1]), N).value
+    assert_close(flat(backward), flat(inverse(forward)))
+
+
+@settings(deadline=None, max_examples=100)
+@given(random_walks())
+def test_level_two_satisfies_the_shuffle_identity(walk):
+    points, N = walk
+    sig = path_signature(PiecewiseLinearPath(points), max(N, 2))
+    d = len(points[0])
+    S1, S2 = sig.level(1).coeffs, sig.level(2).coeffs
+    for i in range(d):
+        for j in range(d):
+            assert close(REAL, S1[i] * S1[j], S2[i * d + j] + S2[j * d + i])
+
+
+def exact_signature(points, N):
+    """Flat levels of Chen's product of the segments' exp(z), over Fractions."""
+    d = len(points[0])
+    sig = [[F(1)]] + [[F(0)] * d**n for n in range(1, N + 1)]
+    for p, q in zip(points, points[1:]):
+        z = [b - a for a, b in zip(p, q)]
+        seg = [[F(1)]]
+        for n in range(1, N + 1):
+            seg.append([c * zi / n for c in seg[-1] for zi in z])
+        sig = [
+            [sum(terms) for terms in zip(*([x * y for x in sig[k] for y in seg[n - k]] for k in range(n + 1)))]
+            for n in range(N + 1)
+        ]
+    return [c for level in sig for c in level]
+
+
+@settings(deadline=None, max_examples=100)
+@given(random_walks(step=st.builds(F, st.integers(-8, 8), st.sampled_from([1, 2, 3, 4]))))
+def test_path_signature_agrees_with_an_exact_chen_product(walk):
+    points, N = walk
+    got = flat(path_signature(PiecewiseLinearPath(points), N).value)
+    assert_close(got, [float(c) for c in exact_signature(points, N)])
 
 
 # -- oracle -----------------------------------------------------------------------
