@@ -18,7 +18,7 @@ import sys
 
 from . import __version__, algebra, expr, rank, scalars, signature
 from .dense import load_tensor
-from .scalars import COMPLEX, MAX_DIGITS, RATIONAL, REAL
+from .scalars import MAX_DIGITS, RATIONAL, REAL
 
 
 def _read(path: str) -> str:
@@ -111,8 +111,6 @@ def _factor_result(args):
         if field != RATIONAL:
             raise ValueError("greedy factoring works over the rational field")
         return expr.factor_greedy(e, args.method.split("-")[1]), None
-    if field not in (REAL, COMPLEX):
-        raise ValueError("ALS factoring needs --field real or --field complex")
     return expr.factor_heuristic_higher_order(e, args.max_rank, field)
 
 

@@ -37,7 +37,7 @@ from itertools import product as iter_product
 from . import scalars
 from .algebra import MAX_COEFFS
 from .dense import DenseTensor, _as_size, _Immutable
-from .rank import _residual, rank_decompose_rref, rank_decompose_svd
+from .rank import _exponent, _residual, rank_decompose_rref, rank_decompose_svd
 from .scalars import COMPLEX, RATIONAL, REAL
 
 __all__ = [
@@ -634,9 +634,8 @@ def factor_heuristic_higher_order(
     target = [scalars.coerce(field, c) for c in tensor.coeffs]
     if all(c == scalars.zero(field) for c in target):
         return TensorExpr((), field), "verified-upper-bound"
-    # fit target * 2^-k, 2^k <= max|target| < 2^(k+1); a power of two scales
-    # exactly, so ALS_TOL and the stall rule read relative to 2^k
-    k = math.frexp(max(map(abs, target)))[1] - 1
+    # fit target * 2^-k (see _exponent), so ALS_TOL and the stall rule read relative to 2^k
+    k = _exponent(target)
     target = [_ldexp(c, -k) for c in target]
     unfolded = _unfoldings(tensor.shape, target)
     for r in range(1, max_rank + 1):

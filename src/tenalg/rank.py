@@ -184,24 +184,16 @@ def _transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def _scaled_columns(cols) -> tuple[int, list[list[float]]]:
-    """``(e, cols * 2^-e)`` with 2^e the power of two at or above the largest |entry|.
+def _exponent(values) -> int:
+    """The k with 2^k <= max|v| < 2^(k+1) over the real or complex ``values``; -1 if all are 0.
 
-    Scaling by a power of two is exact, so input in the normal range gives
-    the same bits as unscaled arithmetic, while squared column norms can
-    neither overflow nor underflow to zero merely because the input is huge
-    or tiny.
+    The SVD kernel and ALS both compute on their input times 2^-k, whose
+    largest |entry| lies in [1, 2).  Scaling by a power of two is exact
+    while the result stays in the normal range, so every relative threshold
+    reads the same at any scale, while squared norms can neither overflow
+    nor underflow to zero merely because the input is huge or tiny.
     """
-    e = math.frexp(max((abs(x) for col in cols for x in col), default=0.0))[1]
-    return e, [[math.ldexp(x, -e) for x in col] for col in cols]
-
-
-def _unscaled(sig: list[float], e: int) -> list[float]:
-    """Singular values of the scaled matrix, scaled back by 2^e."""
-    try:
-        return [math.ldexp(sg, e) for sg in sig]
-    except OverflowError:
-        raise ValueError("a singular value of the matrix exceeds the float range") from None
+    return math.frexp(max(map(abs, values), default=0.0))[1] - 1
 
 
 def _jacobi_sweeps(w: list[list[float]], v=None) -> list[float]:
@@ -312,11 +304,10 @@ def _completed(house, cols: list[list[float]], n: int) -> list[list[float]]:
     return cols + [_reflect(house, [float(i == j) for i in range(n)]) for j in range(len(cols), n)]
 
 
-def _qr_jacobi(cols, n: int, m: int, vectors: bool):
-    """SVD of the tall orientation A of an n x m matrix: ``(sigma, U, V)``.
+def _qr_jacobi(cols, vectors: bool):
+    """SVD of a tall matrix A, given as its p columns of length N >= p: ``(sigma, U, V)``.
 
-    ``cols`` holds the p = min(n, m) columns of A, each of length N = max(n,
-    m).  The input is scaled by a power of two (:func:`_scaled_columns`).
+    The kernel computes on A * 2^-s, s the :func:`_exponent` of A's entries.
     Householder QR with column pivoting (Businger & Golub 1965), A P = Q R,
     stops at step k once the trailing block's Frobenius norm is at most
     ``_QR_DROP * EPS_RANK * N`` times the largest column norm.  That norm is
@@ -326,23 +317,27 @@ def _qr_jacobi(cols, n: int, m: int, vectors: bool):
     R, taken as columns (Drmač & Veselić 2008): it rotates them into
     orthogonal columns C = R_k^T W, so R_k = W C^T and A = (Q_k W) C^T P^T.
 
-    ``sigma`` holds the norms of C, non-increasing and scaled back, then p -
-    k zeros.  With ``vectors`` set, W is accumulated and U (N columns) is Q
-    applied to W padded with zeros, completed by Q's own columns Q e_j for
-    j >= k; V (p columns) is P applied to C's columns normalized, completed
-    by the same rule from a QR of those columns.  Without it U and V are
-    None, and W, which never feeds back into R, is not formed: sigma has the
-    same bits.
+    ``sigma`` holds the norms of C, non-increasing and scaled back by 2^s
+    (:class:`ValueError` if one leaves the float range), then p - k zeros.
+    With ``vectors`` set, W is accumulated and U (N columns) is Q applied to
+    W padded with zeros, completed by Q's own columns Q e_j for j >= k; V (p
+    columns) is P applied to C's columns normalized, completed by the same
+    rule from a QR of those columns.  Without it U and V are None, and W,
+    which never feeds back into R, is not formed: sigma has the same bits.
     """
-    e, a = _scaled_columns(cols)
-    N, p = max(n, m), len(a)
+    s = _exponent(x for col in cols for x in col)
+    a = [[math.ldexp(x, -s) for x in col] for col in cols]
+    N, p = len(a[0]), len(a)
     R, house, perm = _householder_qr(a, _QR_DROP * EPS_RANK * N)
     k = len(R)
     W = [[float(i == l) for i in range(k)] for l in range(k)] if vectors else None
     norm2 = _jacobi_sweeps(R, W)
     order = sorted(range(k), key=lambda l: -norm2[l])
     scaled = [math.sqrt(norm2[l]) for l in order]
-    sig = _unscaled(scaled + [0.0] * (p - k), e)
+    try:
+        sig = [math.ldexp(sg, s) for sg in scaled + [0.0] * (p - k)]
+    except OverflowError:
+        raise ValueError("a singular value of the matrix exceeds the float range") from None
     if not vectors:
         return sig, None, None
     U = _completed(house, [_reflect(house, W[l] + [0.0] * (N - k)) for l in order], N)
@@ -382,11 +377,14 @@ def svd(M) -> tuple[list[list[float]], list[float], list[list[float]]]:
     U diag(sigma) Vt reconstructs M within EPS_SVD * sigma_max plus that norm.
     Signs are fixed: for l < min(n, m) the entry of largest magnitude in
     column l of U (the first such entry on ties) is positive, and row l of
-    Vt has the matching sign.  Raises :class:`ConvergenceError` if the
-    rotation sweep cap is exhausted.
+    Vt has the matching sign.  The kernel computes on M times 2^-k (see
+    :func:`_exponent`), so scaling M by a power of two that keeps its entries
+    normal scales sigma by that power and keeps U and Vt bit for bit; a
+    singular value beyond the float range raises :class:`ValueError`.
+    Raises :class:`ConvergenceError` if the rotation sweep cap is exhausted.
     """
     n, m, cols = _tall(M)
-    sig, U, V = _qr_jacobi(cols, n, m, True)
+    sig, U, V = _qr_jacobi(cols, True)
     if n < m:
         # M^T = U S V^T  =>  M = V S U^T
         U, V = V, U
@@ -425,7 +423,7 @@ def matrix_rank(M, method: str) -> int:
     if method != "svd":
         raise ValueError(f"unknown rank method {method!r}; expected 'rref' or 'svd'")
     n, m, cols = _tall(M)
-    return numeric_rank(_qr_jacobi(cols, n, m, False)[0], n, m)
+    return numeric_rank(_qr_jacobi(cols, False)[0], n, m)
 
 
 def rank_decompose_svd(M) -> RankDecomposition:

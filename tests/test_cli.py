@@ -235,6 +235,12 @@ def test_factor_greedy_real_field_is_user_error(capsys):
     assert err == "error: greedy factoring works over the rational field\n"
 
 
+def test_factor_als_rational_field_is_user_error(capsys):
+    code, out, err = run(capsys, "factor", "u1@v1@w1", "--method", "als", "--field", "rational")
+    assert code == 1 and out == ""
+    assert err == "error: heuristic factoring works over the real or complex field\n"
+
+
 @pytest.mark.parametrize("option", ["--seed", "--sweeps", "--restarts", "--tol-als"])
 def test_factor_has_a_fixed_als_schedule(capsys, option):
     code, out, _ = run(capsys, "factor", "--help")

@@ -438,8 +438,8 @@ def test_svd_rank_deficient_10x10_does_not_underflow():
 
 
 @st.composite
-def planted_int_matrices(draw):
-    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+def planted_int_matrices(draw, size=6):
+    n, m = draw(st.integers(1, size)), draw(st.integers(1, size))
     r = draw(st.integers(0, min(n, m)))
     ints = st.integers(-3, 3)
     left = draw(st.lists(st.lists(ints, min_size=r, max_size=r), min_size=n, max_size=n))
@@ -458,12 +458,37 @@ def test_svd_rank_invariant_under_extreme_scaling(mat, k):
     assert svd_rank(scaled) == svd_rank(mat) == rref_rank(mat) == r
 
 
-def test_svd_power_of_two_scaling_is_exact():
-    rng = random.Random(3)
-    mat = [[rng.uniform(-1, 1) for _ in range(4)] for _ in range(5)]
+def _uniform_matrix(seed, n, m):
+    rng = random.Random(seed)
+    return [[rng.uniform(-1, 1) for _ in range(m)] for _ in range(n)]
+
+
+@settings(deadline=None)
+@given(planted_int_matrices(7), st.integers(-1000, 1000))
+@example(_uniform_matrix(3, 5, 4), -600)
+def test_svd_power_of_two_scaling_is_exact(mat, j):
+    # integer entries stay normal at every 2^j drawn, so the input scales exactly
     U, sig, Vt = svd(mat)
-    U2, sig2, Vt2 = svd([[x * 2.0**-600 for x in row] for row in mat])
-    assert U2 == U and Vt2 == Vt and sig2 == [s * 2.0**-600 for s in sig]
+    U2, sig2, Vt2 = svd([[math.ldexp(x, j) for x in row] for row in mat])
+    assert U2 == U and Vt2 == Vt and sig2 == [math.ldexp(s, j) for s in sig]
+
+
+@pytest.mark.parametrize(
+    "values, k",
+    [
+        ([1.0], 0),
+        ([1.9999999999999998], 0),
+        ([2.0], 1),
+        ([0.5], -1),
+        ([5e-324], -1074),
+        ([1.7976931348623157e308], 1023),
+        ([0.0, -0.0], -1),
+        ([], -1),
+        ([3 + 4j], 2),
+    ],
+)
+def test_exponent_brackets_the_largest_magnitude(values, k):
+    assert rank_module._exponent(values) == k
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -665,7 +690,7 @@ def test_the_kernel_without_vectors_keeps_every_bit_of_svd(seed):
         mat = [[float(x) for x in row] for row in _planted(rng, n, m, r)]
     for M in (mat, _transpose(mat)):
         n, m, cols = rank_module._tall(M)
-        assert rank_module._qr_jacobi(cols, n, m, False)[0] == svd(M)[1]
+        assert rank_module._qr_jacobi(cols, False)[0] == svd(M)[1]
 
 
 def _check_svd_contract(mat):
