@@ -64,6 +64,15 @@ __all__ = [
 ALS_SWEEPS = 500
 ALS_RESTARTS = 20
 ALS_TOL = 1e-8
+# a restart stalls after 5 sweeps in a row that each lower its best residual
+# by no more than _ALS_STALL_DROP.  It plateaus once more than _ALS_WINDOW
+# sweeps have run and best > _ALS_PLATEAU * (best _ALS_WINDOW sweeps earlier);
+# that rule applies only while best > _ALS_GUARD * tol, so a restart near a
+# fit is never cut
+_ALS_STALL_DROP = 1e-14
+_ALS_WINDOW = 50
+_ALS_PLATEAU = 0.99
+_ALS_GUARD = 1e3
 
 
 class ExprSyntaxError(ValueError):
@@ -574,6 +583,7 @@ def _als_fit(target, unfolded, r, field, rng, sweeps, tol) -> tuple[float, list 
     factors = [[[_draw(rng, field) for _ in range(r)] for _ in rows] for rows in unfolded]
     best = math.inf
     stale = 0
+    history = []  # best after each sweep
     for _ in range(sweeps):
         for n in range(m):
             # Khatri-Rao rows over the other slots, in row-major order
@@ -593,13 +603,20 @@ def _als_fit(target, unfolded, r, field, rng, sweeps, tol) -> tuple[float, list 
         _, res = _residual(field, target, terms)
         if res <= tol:
             return res, terms
-        if res < best - 1e-14:
+        if res < best - _ALS_STALL_DROP:
             best = res
             stale = 0
         else:
             stale += 1
             if stale >= 5:
                 break
+        history.append(best)
+        if (
+            len(history) > _ALS_WINDOW
+            and best > _ALS_GUARD * tol
+            and best > _ALS_PLATEAU * history[-_ALS_WINDOW - 1]
+        ):
+            break
     return best, None
 
 
@@ -616,7 +633,11 @@ def factor_heuristic_higher_order(
     input's contributing terms are returned unchanged with status
     ``"failed"``.  Each rank gets ``ALS_RESTARTS`` fits of at most
     ``ALS_SWEEPS`` sweeps; restart ``i`` draws from ``random.Random(i)``, so
-    results are reproducible no matter how restarts are scheduled.
+    results are reproducible no matter how restarts are scheduled.  A
+    restart ends early when it stalls, after 5 sweeps in a row that each
+    lower its best residual by no more than 1e-14, or when it plateaus:
+    after more than 50 sweeps, while its best residual is above 1e3 *
+    ``ALS_TOL`` and above 0.99 times its best residual 50 sweeps earlier.
     """
     if e.terms and e.order < 3:
         raise ValueError(
@@ -634,7 +655,8 @@ def factor_heuristic_higher_order(
     target = [scalars.coerce(field, c) for c in tensor.coeffs]
     if all(c == scalars.zero(field) for c in target):
         return TensorExpr((), field), "verified-upper-bound"
-    # fit target * 2^-k (see _exponent), so ALS_TOL and the stall rule read relative to 2^k
+    # fit target * 2^-k (see _exponent), so ALS_TOL and the stall and plateau
+    # rules read relative to 2^k
     k = _exponent(target)
     target = [_ldexp(c, -k) for c in target]
     unfolded = _unfoldings(tensor.shape, target)

@@ -193,7 +193,20 @@ def _exponent(values) -> int:
     reads the same at any scale, while squared norms can neither overflow
     nor underflow to zero merely because the input is huge or tiny.
     """
-    return math.frexp(max(map(abs, values), default=0.0))[1] - 1
+    return math.frexp(_max_abs(values))[1] - 1
+
+
+def _max_abs(values) -> float:
+    """max|v| over the real or complex ``values``, 0.0 if there are none.
+
+    Raises :class:`ValueError` on a finite complex value whose modulus lies
+    beyond the float range, where ``abs`` itself overflows.
+    """
+    try:
+        return max(map(abs, values), default=0.0)
+    except OverflowError:
+        message = "a complex value's modulus exceeds the float range (about 1.8e308)"
+        raise ValueError(message) from None
 
 
 def _jacobi_sweeps(w: list[list[float]], v=None) -> list[float]:
@@ -457,6 +470,9 @@ def _residual(field: str, target: list, terms, slack: float = 0.0) -> tuple[bool
     entry, so a wrong factor cannot rescale itself into passing) and brought
     to one common scale ``S``.  Otherwise ``ok`` means ``residual <= EPS_F + EPS_F
     * max|target| + slack``, and a NaN mismatch gives a NaN residual, never ok.
+    A complex target entry whose modulus exceeds the float range is refused
+    with :class:`ValueError`; a complex mismatch that large gives an
+    infinite residual, never ok.
     """
     goal, lead = target, [1] * len(terms)
     if field == RATIONAL:
@@ -467,19 +483,24 @@ def _residual(field: str, target: list, terms, slack: float = 0.0) -> tuple[bool
         goal = [S // L * x for x in goal]
         lead = [S // p for p in lead]
         terms = [[v for _, v in term] for term in terms]
+    else:
+        bound = _max_abs(target)
     total = [0] * len(goal)
     for c, vectors in zip(lead, terms):
         out = [c]
         for v in vectors:
             out = [x * y for x in out for y in v]
         total = list(map(operator.add, total, out))
-    mismatch = list(map(abs, map(operator.sub, total, goal)))
+    try:
+        mismatch = list(map(abs, map(operator.sub, total, goal)))
+    except OverflowError:
+        return False, math.inf
     res = max(mismatch, default=0)
     if field == RATIONAL:
         return res == 0, res / S
     if any(map(math.isnan, mismatch)):
         return False, math.nan
-    return res <= scalars.EPS_F + scalars.EPS_F * max(map(abs, target), default=0.0) + slack, float(res)
+    return res <= scalars.EPS_F + scalars.EPS_F * bound + slack, float(res)
 
 
 def verify_decomposition(target: DenseTensor, terms) -> tuple[bool, float]:

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tenalg.expr as expr_module
+import tenalg.rank as rank_module
 from tenalg import (
     COMPLEX,
     RATIONAL,
@@ -657,6 +658,139 @@ def test_als_fit_on_unfoldings_matches_index_arithmetic_bit_for_bit(case, sweeps
     got = expr_module._als_fit(target, unfolded, r, field, random.Random(seed), sweeps, tol)
     want = _reference_als_fit(dims, target, r, field, random.Random(seed), sweeps, tol)
     assert repr(got) == repr(want)
+
+
+@st.composite
+def _planted_als_cases(draw):
+    """A 2-3 per slot, order-3 target planted as 1-3 rank-1 terms with small
+    integer factors and scaled as ``factor_heuristic_higher_order`` scales it,
+    fitted at a rank of 1-3 drawn independently of the planted one."""
+    dims = tuple(draw(st.lists(st.integers(2, 3), min_size=3, max_size=3)))
+    field = draw(st.sampled_from([REAL, COMPLEX]))
+    target = [0] * math.prod(dims)
+    for _ in range(draw(st.integers(1, 3))):
+        out = [1]
+        for d in dims:
+            v = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+            out = [x * y for x in out for y in v]
+        target = [a + b for a, b in zip(target, out)]
+    coerce = complex if field == COMPLEX else float
+    target = [coerce(c) for c in target]
+    k = rank_module._exponent(target)
+    target = [expr_module._ldexp(c, -k) for c in target]
+    return dims, target, draw(st.integers(1, 3)), field, draw(st.integers(0, 10**6))
+
+
+Z_TARGET = [1.0, 0.0, 0.0, 1.0, 0.0, -1.0, 1.0, 0.0]  # Z_EXPR's coefficients over u, v, w
+# the old rule verifies this fit only at sweep 497
+SLOW_FIT = ((2, 2, 2), [0.625, 0.25, -1.25, -0.25, -1.125, -0.75, 0.0, -1.625], 2, REAL, 868665)
+# the old rule fails this fit after 442 sweeps; the plateau rule ends it after 67
+PLATEAU = (
+    (2, 3, 2),
+    [complex(x) for x in [0.625, 0.375, -0.5, -0.125, 0.875, -0.875, 0.6875, 0.5625, -0.25, -0.0625, -0.125, -1]],
+    2,
+    COMPLEX,
+    267397,
+)
+# the old rule verifies this fit at sweep 234, after about 180 sweeps near a
+# best residual of 0.26; the plateau rule ends it after 56
+SWAMP = ((2, 2, 2), [-0.1875, 0.375, -0.75, -0.375, 1.0625, -0.125, 1.75, 0.125], 2, REAL, 346125)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_planted_als_cases(), st.integers(2 * expr_module._ALS_WINDOW, expr_module.ALS_SWEEPS))
+@example(((2, 2, 2), Z_TARGET, 2, REAL, 0), expr_module.ALS_SWEEPS)
+@example(SLOW_FIT, expr_module.ALS_SWEEPS)
+@example(PLATEAU, expr_module.ALS_SWEEPS)
+@example(SWAMP, expr_module.ALS_SWEEPS)
+def test_plateau_rule_only_ends_a_restart_far_from_a_fit(case, sweeps):
+    dims, target, r, field, seed = case
+    unfolded = expr_module._unfoldings(dims, target)
+    tol = expr_module.ALS_TOL
+    got = expr_module._als_fit(target, unfolded, r, field, random.Random(seed), sweeps, tol)
+    want = _reference_als_fit(dims, target, r, field, random.Random(seed), sweeps, tol)
+    # the plateau rule only ends a restart sooner: a fit it returns is the old rule's
+    if got[1] is not None:
+        assert repr(got) == repr(want)
+    elif want[1] is not None:
+        # the old rule's fit came after a plateau (SWAMP), ended far from any fit
+        assert got[0] > expr_module._ALS_GUARD * tol
+    else:
+        assert got[0] >= want[0] or math.isinf(want[0])
+
+
+def test_a_planted_fit_past_a_plateau_is_still_found_by_another_restart():
+    # SWAMP's target: the plateau rule ends the restart of SWAMP's seed, yet a
+    # restart among seeds 0..19 still fits it at rank 2
+    dims, target, r, field, seed = SWAMP
+    unfolded = expr_module._unfoldings(dims, target)
+    tol = expr_module.ALS_TOL
+    assert expr_module._als_fit(target, unfolded, r, field, random.Random(seed), 500, tol)[1] is None
+    assert _reference_als_fit(dims, target, r, field, random.Random(seed), 500, tol)[1] is not None
+    symbols = product(("u1", "u2"), ("v1", "v2"), ("w1", "w2"))
+    slots = [tuple(SlotVector(((s, 1.0),)) for s in syms) for syms in symbols]
+    e = TensorExpr(tuple(Term(c, t) for c, t in zip(target, slots) if c), REAL)
+    f, status = factor_heuristic_higher_order(e, 2, REAL)
+    assert status == "verified-upper-bound" and len(f.terms) == 2
+
+
+def _scripted_residuals(monkeypatch, residuals):
+    """Make ``_residual`` return ``residuals`` in turn, never ok; returns the call log."""
+    calls = []
+
+    def scripted(field, target, terms):
+        calls.append(residuals[len(calls)])
+        return False, calls[-1]
+
+    monkeypatch.setattr(expr_module, "_residual", scripted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "first, drop, sweeps_run",
+    [
+        # 50 sweeps lower best by about 0.5% only: cut right after sweep 51
+        (1.0, 1e-4, expr_module._ALS_WINDOW + 1),
+        # the same plateau at best <= _ALS_GUARD * tol is never cut
+        (expr_module._ALS_GUARD * expr_module.ALS_TOL, 1e-4, expr_module.ALS_SWEEPS),
+        # 50 sweeps lower best by about 5%: no plateau
+        (1.0, 1e-3, expr_module.ALS_SWEEPS),
+    ],
+    ids=["plateau", "plateau-near-a-fit", "progress"],
+)
+def test_plateau_rule_window_ratio_and_guard(monkeypatch, first, drop, sweeps_run):
+    residuals = [first * (1 - drop) ** i for i in range(expr_module.ALS_SWEEPS)]
+    calls = _scripted_residuals(monkeypatch, residuals)
+    unfolded = expr_module._unfoldings((2, 2, 2), Z_TARGET)
+    got = expr_module._als_fit(
+        Z_TARGET, unfolded, 2, REAL, random.Random(0), expr_module.ALS_SWEEPS, expr_module.ALS_TOL
+    )
+    assert len(calls) == sweeps_run
+    assert got == (residuals[sweeps_run - 1], None)
+
+
+def test_z_real_rank_two_ends_its_restarts_on_a_plateau(monkeypatch):
+    # a deterministic witness of the plateau rule's saving: the 5-sweep stall
+    # rule alone makes 8638 sweeps here, as 17 of the 20 restarts run all 500
+    calls = []
+    residual = expr_module._residual
+
+    def counted(*args):
+        calls.append(None)
+        return residual(*args)
+
+    monkeypatch.setattr(expr_module, "_residual", counted)
+    f, status = factor_heuristic_higher_order(parse(Z_EXPR), 2, REAL)
+    assert status == "failed" and len(f.terms) == 4
+    assert len(calls) <= 2000
+
+
+def test_heuristic_refuses_a_complex_coefficient_beyond_the_float_range():
+    # finite parts, but a modulus of about 2.4e308: abs() of it overflows
+    slots = parse("u1@v1@w1").terms[0].slots
+    e = TensorExpr((Term(complex(1.7e308, 1.7e308), slots),), COMPLEX)
+    with pytest.raises(ValueError, match="complex value's modulus exceeds the float range"):
+        factor_heuristic_higher_order(e, 1, COMPLEX)
 
 
 def test_unfoldings_of_a_2x3x4_tensor():

@@ -823,6 +823,25 @@ def test_verify_non_finite_factor_never_verifies(field, bad, slot):
     assert ok is False and not math.isfinite(residual)
 
 
+# finite parts, but a modulus of about 2.4e308: abs() of it overflows
+HUGE_MODULUS = complex(1.7e308, 1.7e308)
+
+
+def test_verify_refuses_a_complex_target_beyond_the_float_range():
+    with pytest.raises(ValueError, match="complex value's modulus exceeds the float range"):
+        verify_decomposition(DenseTensor((1, 1), [HUGE_MODULUS], COMPLEX), [])
+
+
+def test_verify_complex_mismatch_beyond_the_float_range_never_verifies():
+    # target and factor are each in range; their difference's modulus is not
+    target = DenseTensor((1, 1), [complex(1.3e308, 0)], COMPLEX)
+    term = [DenseTensor.vector([complex(0, -1.3e308)], COMPLEX), DenseTensor.vector([1], COMPLEX)]
+    assert verify_decomposition(target, [term]) == (False, math.inf)
+    # a factor beyond the range is no error: the term's product can come back into range
+    half = [DenseTensor.vector([HUGE_MODULUS], COMPLEX), DenseTensor.vector([0.5], COMPLEX)]
+    assert verify_decomposition(DenseTensor((1, 1), [HUGE_MODULUS / 2], COMPLEX), [half]) == (True, 0.0)
+
+
 def test_svd_decomposition_check_rejects_nan(monkeypatch):
     real_svd = rank_module.svd
 
