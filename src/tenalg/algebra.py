@@ -21,7 +21,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from . import scalars
-from .dense import DenseTensor, _as_size, _Immutable
+from .dense import MAX_COEFFS, DenseTensor, _as_size, _Immutable
 from .scalars import RATIONAL
 
 __all__ = [
@@ -74,19 +74,11 @@ def truncated_dim(d: int, N: int) -> int:
     return (d ** (N + 1) - 1) // (d - 1)
 
 
-# Most coefficients one element may hold where unit/basis_word, the signatures
-# and tt_from_json allocate it: truncated_dim(d, N), plus N (N + 1) / 2, which
-# matters only at d == 1, where a product or an inverse of N + 1 coefficients
-# makes (N + 1) (N + 2) / 2 multiply-adds.  A larger count is refused before any
-# list is built.  A slot costs 8 bytes, and a distinct float 24 more, so an
-# element at the budget takes about 32 MB and a product needs several.  Every
-# test and benchmark shape is at most truncated_dim(4, 5) = 1365 coefficients.
-# expr.to_coefficient_tensor holds an expression's coefficient tensor to it too.
-MAX_COEFFS = 1 << 20
-
-
 def _check_budget(d: int, N: int) -> None:
-    """Raise :class:`ValueError` if an element of the algebra exceeds MAX_COEFFS."""
+    """Raise :class:`ValueError` if an element of the algebra exceeds MAX_COEFFS:
+    its truncated_dim(d, N) coefficients plus N (N + 1) / 2, which matters only
+    at d == 1, where a product or an inverse of N + 1 coefficients makes
+    (N + 1) (N + 2) / 2 multiply-adds."""
     d, N = _check_dims(d, N)
     # for d >= 2 level 64 alone is over budget; the clamp keeps an absurd N
     # from building a huge power in truncated_dim
@@ -355,7 +347,9 @@ def tt_to_json(x: TruncatedTensor) -> dict:
 
 def tt_from_json(obj: dict) -> TruncatedTensor:
     if not isinstance(obj, dict) or not {"d", "N", "levels"} <= set(obj):
-        raise ValueError("truncated-tensor JSON must have 'd', 'N', 'field', 'levels' keys")
+        raise ValueError(
+            "truncated-tensor JSON must have 'd', 'N' and 'levels' keys; 'field' defaults to 'rational'"
+        )
     field = scalars.check_field(obj.get("field", RATIONAL))
     d, N = scalars.json_int(obj["d"], "'d'"), scalars.json_int(obj["N"], "'N'")
     _check_budget(d, N)

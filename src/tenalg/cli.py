@@ -102,16 +102,14 @@ def _cmd_decompose(args) -> int:
 
 def _factor_result(args):
     e = expr.parse(args.expression)
-    field = args.field or (REAL if args.method == "als" else RATIONAL)
-    if args.method == "exact":
-        if field != RATIONAL:
-            raise ValueError("exact factoring works over the rational field")
+    if args.method == "als":
+        return expr.factor_heuristic_higher_order(e, args.max_rank, args.field or REAL)
+    kind, _, direction = args.method.partition("-")  # exact, greedy-left, greedy-right
+    if args.field not in (None, RATIONAL):
+        raise ValueError(f"{kind} factoring works over the rational field")
+    if kind == "exact":
         return expr.factor_exact_order2(e, route=args.route), None
-    if args.method in ("greedy-left", "greedy-right"):
-        if field != RATIONAL:
-            raise ValueError("greedy factoring works over the rational field")
-        return expr.factor_greedy(e, args.method.split("-")[1]), None
-    return expr.factor_heuristic_higher_order(e, args.max_rank, field)
+    return expr.factor_greedy(e, direction), None
 
 
 def _cmd_factor(args) -> int:

@@ -37,6 +37,15 @@ __all__ = [
 ]
 
 
+# Most coefficients one tensor or algebra element may hold where the library
+# allocates it: unit/basis_word, the signatures, tt_from_json and
+# expr.to_coefficient_tensor refuse a larger count before any list is built.
+# A slot costs 8 bytes, and a distinct float 24 more, so a tensor at the budget
+# takes about 32 MB and a product of two needs several.  Every test and
+# benchmark shape is at most truncated_dim(4, 5) = 1365 coefficients.
+MAX_COEFFS = 1 << 20
+
+
 class ShapeMismatchError(ValueError):
     """Operands whose shapes are incompatible for the requested operation."""
 
@@ -172,10 +181,6 @@ class DenseTensor(_Immutable):
             nested = [nested[i : i + d] for i in range(0, len(nested), d)]
         return nested
 
-    def is_zero(self) -> bool:
-        z = scalars.zero(self.field)
-        return all(c == z for c in self.coeffs)
-
     # -- algebra -----------------------------------------------------------
 
     def __add__(self, other: "DenseTensor") -> "DenseTensor":
@@ -265,7 +270,9 @@ def tensor_to_json(t: DenseTensor) -> dict:
 
 def tensor_from_json(obj: dict) -> DenseTensor:
     if not isinstance(obj, dict) or "shape" not in obj or "coeffs" not in obj:
-        raise ValueError("tensor JSON must have 'shape', 'field' and 'coeffs' keys")
+        raise ValueError(
+            "tensor JSON must have 'shape' and 'coeffs' keys; 'field' defaults to 'rational'"
+        )
     field = scalars.check_field(obj.get("field", RATIONAL))
     if not isinstance(obj["shape"], list):
         raise ValueError(f"'shape' must be a list of JSON integers, got {obj['shape']!r}")

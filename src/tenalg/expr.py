@@ -35,8 +35,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from . import scalars
-from .algebra import MAX_COEFFS
-from .dense import DenseTensor, _as_size, _Immutable
+from .dense import MAX_COEFFS, DenseTensor, _as_size, _Immutable
 from .rank import _exponent, _residual, rank_decompose_rref, rank_decompose_svd
 from .scalars import COMPLEX, RATIONAL, REAL
 
@@ -64,11 +63,12 @@ __all__ = [
 ALS_SWEEPS = 500
 ALS_RESTARTS = 20
 ALS_TOL = 1e-8
-# a restart stalls after 5 sweeps in a row that each lower its best residual
-# by no more than _ALS_STALL_DROP.  It plateaus once more than _ALS_WINDOW
-# sweeps have run and best > _ALS_PLATEAU * (best _ALS_WINDOW sweeps earlier);
-# that rule applies only while best > _ALS_GUARD * tol, so a restart near a
-# fit is never cut
+# a restart's best residual falls only on a sweep that lowers it by more than
+# _ALS_STALL_DROP.  The restart stalls once best is unchanged over the last
+# _ALS_STALL sweeps.  It plateaus once more than _ALS_WINDOW sweeps have run and
+# best > _ALS_PLATEAU * (best _ALS_WINDOW sweeps earlier); that rule applies
+# only while best > _ALS_GUARD * tol, so a restart near a fit is never cut
+_ALS_STALL = 5
 _ALS_STALL_DROP = 1e-14
 _ALS_WINDOW = 50
 _ALS_PLATEAU = 0.99
@@ -94,17 +94,8 @@ class SlotVector(_Immutable):
             combined[sym] = combined[sym] + coeff if sym in combined else coeff
         object.__setattr__(self, "entries", tuple((s, c) for s, c in combined.items() if c != 0))
 
-    def symbols(self):
-        return tuple(s for s, _ in self.entries)
-
     def is_zero(self) -> bool:
         return not self.entries
-
-    def scaled(self, lam) -> "SlotVector":
-        return SlotVector(tuple((s, lam * c) for s, c in self.entries))
-
-    def plus(self, other: "SlotVector") -> "SlotVector":
-        return SlotVector(self.entries + other.entries)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SlotVector):
@@ -281,7 +272,7 @@ def _validate(terms: Sequence[Term]):
     seen = {}
     for t in terms:
         for k, sv in enumerate(t.slots):
-            for sym in sv.symbols():
+            for sym, _ in sv.entries:
                 if seen.setdefault(sym, k) != k:
                     raise ExprSyntaxError(
                         f"symbol {sym!r} appears in slot {seen[sym] + 1} and slot {k + 1}",
@@ -491,7 +482,9 @@ def factor_greedy(e: TensorExpr, direction: str = "left") -> TensorExpr:
             for j in range(i + 1, len(work)):
                 cj, sj = work[j]
                 if all(si[x] == sj[x] for x in range(m) if x != k):
-                    merged = si[k].scaled(ci).plus(sj[k].scaled(cj))
+                    merged = SlotVector(
+                        (s, c * a) for c, sv in ((ci, si[k]), (cj, sj[k])) for s, a in sv.entries
+                    )
                     del work[j]
                     if merged.is_zero():
                         del work[i]
@@ -581,9 +574,7 @@ def _als_fit(target, unfolded, r, field, rng, sweeps, tol) -> tuple[float, list 
     its list of per-slot vectors, or ``(best residual, None)``."""
     m = len(unfolded)
     factors = [[[_draw(rng, field) for _ in range(r)] for _ in rows] for rows in unfolded]
-    best = math.inf
-    stale = 0
-    history = []  # best after each sweep
+    best = [math.inf]  # best[i]: the best residual after i sweeps
     for _ in range(sweeps):
         for n in range(m):
             # Khatri-Rao rows over the other slots, in row-major order
@@ -603,21 +594,16 @@ def _als_fit(target, unfolded, r, field, rng, sweeps, tol) -> tuple[float, list 
         _, res = _residual(field, target, terms)
         if res <= tol:
             return res, terms
-        if res < best - _ALS_STALL_DROP:
-            best = res
-            stale = 0
-        else:
-            stale += 1
-            if stale >= 5:
-                break
-        history.append(best)
+        best.append(res if res < best[-1] - _ALS_STALL_DROP else best[-1])
+        if len(best) > _ALS_STALL and best[-1] == best[-_ALS_STALL - 1]:
+            break
         if (
-            len(history) > _ALS_WINDOW
-            and best > _ALS_GUARD * tol
-            and best > _ALS_PLATEAU * history[-_ALS_WINDOW - 1]
+            len(best) > _ALS_WINDOW + 1
+            and best[-1] > _ALS_GUARD * tol
+            and best[-1] > _ALS_PLATEAU * best[-_ALS_WINDOW - 1]
         ):
             break
-    return best, None
+    return best[-1], None
 
 
 def factor_heuristic_higher_order(
@@ -673,15 +659,14 @@ def factor_heuristic_higher_order(
     return TensorExpr(_live_terms(e.terms), e.field), "failed"
 
 
-def term_factor_vectors(e: TensorExpr, basis: tuple | None = None):
+def term_factor_vectors(e: TensorExpr, basis: tuple):
     """One order-1 coefficient vector per slot of each term, over the symbol
-    tuples ``basis`` (by default :func:`infer_bases` of ``e``).
+    tuples ``basis``: the basis of the target's coefficient tensor, as
+    :func:`to_coefficient_tensor` returns it.
 
     Bridges factored expressions to rank-1 term lists so a factorization can
     be checked by re-expansion against the coefficient tensor.
     """
-    if basis is None:
-        basis = infer_bases(e)
     out = []
     for t in e.terms:
         factors = []

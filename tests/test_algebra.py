@@ -201,6 +201,13 @@ def test_product_not_commutative():
     assert concat_product(x, y) != concat_product(y, x)
 
 
+def test_mul_operator_is_concat_product():
+    # the library tour in the README multiplies with *
+    x = tt(2, 2, [[0], [1, 0], [0, 0, 0, 0]])
+    y = tt(2, 2, [[0], [0, 1], [0, 0, 0, 0]])
+    assert x * y == concat_product(x, y) and y * x == concat_product(y, x)
+
+
 @settings(deadline=None)
 @given(element_pairs(count=3))
 def test_associativity(xyz):
@@ -524,6 +531,15 @@ def test_json_ignores_extra_keys():
     obj = {"d": 2, "N": 1, "field": "rational", "levels": [["1"], ["0", "0"]],
            "interval": [0.0, 1.0]}
     assert tt_from_json(obj) == x
+
+
+def test_json_field_defaults_to_rational_and_the_message_says_so():
+    assert load_tt('{"d": 2, "N": 1, "levels": [["1"], ["0", "0"]]}') == unit(2, 1)
+    with pytest.raises(ValueError) as info:
+        load_tt('{"d": 2, "N": 1, "field": "rational"}')
+    assert str(info.value) == (
+        "truncated-tensor JSON must have 'd', 'N' and 'levels' keys; 'field' defaults to 'rational'"
+    )
 
 
 def test_json_golden_shape():

@@ -235,6 +235,16 @@ def test_factor_greedy_real_field_is_user_error(capsys):
     assert err == "error: greedy factoring works over the rational field\n"
 
 
+@pytest.mark.parametrize(
+    "method, field",
+    [("exact", "real"), ("exact", "complex"), ("greedy-right", "complex")],
+)
+def test_factor_exact_and_greedy_refuse_a_field_other_than_rational(capsys, method, field):
+    code, out, err = run(capsys, "factor", "a1@b1", "--method", method, "--field", field)
+    assert (code, out) == (1, "")
+    assert err == f"error: {method.split('-')[0]} factoring works over the rational field\n"
+
+
 def test_factor_als_rational_field_is_user_error(capsys):
     code, out, err = run(capsys, "factor", "u1@v1@w1", "--method", "als", "--field", "rational")
     assert code == 1 and out == ""
@@ -398,6 +408,23 @@ def test_algebra_mul(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["levels"] == [["6"], ["3", "2"], ["0", "1", "0", "0"]]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["mul", "x"], "mul needs exactly two operand files"),
+        (["inv", "x", "y"], "inv needs exactly one operand file"),
+        (["project", "x", "y", "--level", "0"], "project needs exactly one operand file"),
+    ],
+    ids=["mul-one-file", "inv-two-files", "project-two-files"],
+)
+def test_algebra_refuses_a_wrong_operand_count(tmp_path, capsys, argv, message):
+    paths = {"x": tmp_path / "x.json", "y": tmp_path / "y.json"}
+    paths["x"].write_text(X_JSON, encoding="utf-8")
+    paths["y"].write_text(Y_JSON, encoding="utf-8")
+    code, out, err = run(capsys, "algebra", *(str(paths.get(a, a)) for a in argv))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_algebra_inv_unit(tmp_path, capsys):

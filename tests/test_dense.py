@@ -337,6 +337,15 @@ def test_json_round_trip_complex():
     assert load_tensor(dump_tensor(t)) == t
 
 
+def test_json_field_defaults_to_rational_and_the_message_says_so():
+    assert load_tensor('{"shape": [2], "coeffs": [1, 2]}') == DenseTensor((2,), [1, 2])
+    with pytest.raises(ValueError) as info:
+        load_tensor('{"shape": [2], "field": "rational"}')
+    assert str(info.value) == (
+        "tensor JSON must have 'shape' and 'coeffs' keys; 'field' defaults to 'rational'"
+    )
+
+
 def test_json_rational_strings():
     t = mat([[F(4, 3)]])
     assert '"4/3"' in dump_tensor(t)

@@ -240,6 +240,12 @@ def test_expand_zero():
     assert render(expand(parse("a1@b1 - a1@b1"))) == "0"
 
 
+def test_coefficient_tensor_of_the_zero_expression_is_refused():
+    with pytest.raises(ValueError) as info:
+        to_coefficient_tensor(parse("0"))
+    assert str(info.value) == "cannot build a coefficient tensor: no contributing terms"
+
+
 def test_expand_collects_duplicates():
     e = expand(parse("a1@b1 + 2 a1@b1 - a2@b2"))
     assert render(e) == "3 a1@b1 - a2@b2"
@@ -767,6 +773,34 @@ def test_plateau_rule_window_ratio_and_guard(monkeypatch, first, drop, sweeps_ru
     )
     assert len(calls) == sweeps_run
     assert got == (residuals[sweeps_run - 1], None)
+
+
+_DROP = expr_module._ALS_STALL_DROP
+
+
+@pytest.mark.parametrize(
+    "residuals, sweeps_run, best",
+    [
+        # NaN never lowers best, so the first 5 sweeps stall the restart
+        ([math.nan], 5, math.inf),
+        # a drop of exactly _ALS_STALL_DROP is no improvement: sweeps 2-6 stall
+        ([1.0] + [1.0 - _DROP], 6, 1.0),
+        # a drop by more on sweep 4 restarts the count: sweeps 5-9 stall
+        ([1.0, 1.0, 1.0, 0.5], 9, 0.5),
+    ],
+    ids=["nan", "drop-of-exactly-the-stall-drop", "drop-on-sweep-4"],
+)
+def test_stall_rule_ends_a_restart_after_5_sweeps_without_a_drop(
+    monkeypatch, residuals, sweeps_run, best
+):
+    residuals = residuals + [residuals[-1]] * (expr_module.ALS_SWEEPS - len(residuals))
+    calls = _scripted_residuals(monkeypatch, residuals)
+    unfolded = expr_module._unfoldings((2, 2, 2), Z_TARGET)
+    got = expr_module._als_fit(
+        Z_TARGET, unfolded, 2, REAL, random.Random(0), expr_module.ALS_SWEEPS, expr_module.ALS_TOL
+    )
+    assert len(calls) == sweeps_run
+    assert got == (best, None)
 
 
 def test_z_real_rank_two_ends_its_restarts_on_a_plateau(monkeypatch):

@@ -3,7 +3,7 @@
 import math
 import re
 import sys
-import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -147,10 +147,18 @@ _exponent = st.one_of(st.integers(-(10**7), 10**7), st.integers(-4310, 4310))
 @example("1", "e", 10**7)
 @example("1", "e", -(10**7))
 def test_rational_with_a_decimal_exponent_is_refused_at_once(mantissa, e, exponent):
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match="p, -p, p/q or -p/q in ASCII digits"):
-        from_json(RATIONAL, f"{mantissa}{e}{exponent}")
-    assert time.perf_counter() - start < 0.05
+    # memory, not wall time, so a pause of the machine cannot fail it: a refusal
+    # that first built the value, as Fraction(text) does, would hold 10^(10^7),
+    # about 4 MB, for the explicit examples
+    text = f"{mantissa}{e}{exponent}"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="p, -p, p/q or -p/q in ASCII digits"):
+            from_json(RATIONAL, text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
