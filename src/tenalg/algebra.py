@@ -356,8 +356,7 @@ def tt_from_json(obj: dict) -> TruncatedTensor:
     levels = obj["levels"]
     if type(levels) is not list or not all(type(lvl) is list for lvl in levels):
         raise ValueError("'levels' must be a JSON array of JSON arrays")
-    flat_levels = [[scalars.from_json(field, c) for c in lvl] for lvl in _counted(N, levels)]
-    scalars.check_finite(field, itertools.chain.from_iterable(flat_levels))
+    flat_levels = scalars.from_json_lists(field, _counted(N, levels))
     return TruncatedTensor.from_flat_levels(d, N, flat_levels, field)
 
 

@@ -279,8 +279,7 @@ def tensor_from_json(obj: dict) -> DenseTensor:
     shape = tuple(scalars.json_int(n, "every 'shape' entry") for n in obj["shape"])
     if type(obj["coeffs"]) is not list:
         raise ValueError(f"'coeffs' must be a JSON array, got {type(obj['coeffs']).__name__}")
-    coeffs = [scalars.from_json(field, c) for c in obj["coeffs"]]
-    scalars.check_finite(field, coeffs)
+    (coeffs,) = scalars.from_json_lists(field, [obj["coeffs"]])
     return DenseTensor(shape, coeffs, field)
 
 

@@ -665,13 +665,18 @@ def term_factor_vectors(e: TensorExpr, basis: tuple):
     :func:`to_coefficient_tensor` returns it.
 
     Bridges factored expressions to rank-1 term lists so a factorization can
-    be checked by re-expansion against the coefficient tensor.
+    be checked by re-expansion against the coefficient tensor.  A slot entry
+    whose symbol is not in ``basis`` for that slot raises :class:`ValueError`,
+    since the vectors could not show it.
     """
     out = []
     for t in e.terms:
         factors = []
         for k, sv in enumerate(t.slots):
             lookup = dict(sv.entries)
+            for sym in lookup:
+                if sym not in basis[k]:
+                    raise ValueError(f"symbol {sym!r} in slot {k + 1} is not in that slot's basis")
             coeff = scalars.coerce(e.field, t.coefficient) if k == 0 else scalars.one(e.field)
             vec = [coeff * scalars.coerce(e.field, lookup.get(sym, 0)) for sym in basis[k]]
             factors.append(DenseTensor.vector(vec, e.field))

@@ -16,6 +16,7 @@ written here once, including the one JSON reader and the one JSON writer.
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 from collections.abc import Sequence
@@ -234,6 +235,38 @@ def from_json(field: str, obj):
     if isinstance(obj, (list, tuple)) and len(obj) == 2:
         return complex(_json_number(obj[0], what), _json_number(obj[1], what))
     return complex(_json_number(obj, what), 0.0)
+
+
+def from_json_lists(field: str, lists) -> list[list]:
+    """Decode lists of scalars from the JSON tensor formats, one output list per
+    input list, then run :func:`check_finite` once over every item.
+
+    Each item is decoded by :func:`from_json`'s rule, in order, so a document
+    raises the same first error it would item by item.  Over the rationals a
+    ``str`` decoded earlier in the same call reuses that Fraction (Fractions
+    are immutable, so lists may share them).  Only strings are keys: a JSON
+    integer, ``true`` or ``1.0`` always reaches :func:`from_json`, since
+    ``True == 1.0 == 1`` would share one entry.  Nothing is kept between calls.
+    """
+    if field == RATIONAL:
+        memo = {}
+        out = []
+        for items in lists:
+            row = []
+            for obj in items:
+                if type(obj) is str:
+                    if obj in memo:
+                        value = memo[obj]
+                    else:
+                        value = memo[obj] = rational_literal(obj)
+                else:
+                    value = from_json(field, obj)
+                row.append(value)
+            out.append(row)
+    else:
+        out = [[from_json(field, obj) for obj in items] for items in lists]
+    check_finite(field, itertools.chain.from_iterable(out))
+    return out
 
 
 def _json_number(obj, what: str) -> float:

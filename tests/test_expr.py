@@ -400,6 +400,16 @@ def test_factor_exact_svd_route():
     assert ok and residual <= 1e-9
 
 
+def test_term_factor_vectors_refuses_a_symbol_outside_the_basis():
+    # dropping b9 would verify a factoring whose expansion is a1@b1 + a1@b9
+    target, basis = to_coefficient_tensor(parse("a1@b1"))
+    with pytest.raises(ValueError, match="^symbol 'b9' in slot 2 is not in that slot's basis$"):
+        verify_decomposition(target, term_factor_vectors(parse("a1@(b1 + b9)"), basis))
+    with pytest.raises(ValueError, match="^symbol 'a0' in slot 1 "):
+        term_factor_vectors(parse("(a0 + a1)@b1"), basis)
+    assert verify_decomposition(target, term_factor_vectors(parse("a1@b1"), basis)) == (True, 0.0)
+
+
 def test_factor_exact_bad_route():
     with pytest.raises(ValueError):
         factor_exact_order2(parse(X0A), route="cholesky")

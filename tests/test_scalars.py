@@ -1,5 +1,6 @@
 """The JSON scalar decoder: a rational is read in one form, the form tenalg writes."""
 
+import json
 import math
 import re
 import sys
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tenalg.scalars as scalars_module
 from tenalg.algebra import TruncatedTensor, concat_product, dump_tt, load_tt
 from tenalg.dense import DenseTensor, dump_tensor, load_tensor, tensor_product
 from tenalg.scalars import (
@@ -18,9 +20,12 @@ from tenalg.scalars import (
     REAL,
     FieldMismatchError,
     NonFiniteResultError,
+    check_finite,
     coerce,
     from_json,
     integer_literal,
+    load_json,
+    rational_literal,
     real_literal,
     to_json,
 )
@@ -234,6 +239,86 @@ def test_loaders_refuse_non_finite_constants(load, constant):
     doc = f'{{"field": "real", "shape": [1, 1], "coeffs": [{constant}], "d": 1, "N": 0, "levels": [[{constant}]]}}'
     with pytest.raises(ValueError, match=f"non-finite number {constant} in JSON input"):
         load(doc)
+
+
+# -- a rational literal that repeats in a document is decoded once -------------
+
+
+def _document(load, field, items):
+    """A document for ``load`` holding the JSON texts ``items`` in order: one
+    dense vector, or one coefficient per level of a d = 1 element."""
+    if load is load_tensor:
+        return f'{{"shape": [{len(items)}], "field": "{field}", "coeffs": [{", ".join(items)}]}}'
+    levels = ", ".join(f"[{c}]" for c in items)
+    return f'{{"d": 1, "N": {len(items) - 1}, "field": "{field}", "levels": [{levels}]}}'
+
+
+def _values(load, text):
+    loaded = load(text)
+    return loaded.coeffs if load is load_tensor else [c for flat in loaded.flats for c in flat]
+
+
+@_LOADERS
+def test_a_repeated_literal_does_not_let_a_bool_or_float_through(load):
+    # True == 1.0 == 1 with equal hashes: a memo keyed by value would accept them
+    for item, shown in [("true", "True"), ("1.0", "1.0")]:
+        with pytest.raises(ValueError) as info:
+            load(_document(load, RATIONAL, ['"1"', item]))
+        assert str(info.value) == f"rational scalars must be 'p/q' strings, got {shown}"
+    assert _exact(_values(load, _document(load, RATIONAL, ['"1"', "1", '"1"']))) == _exact([Fraction(1)] * 3)
+
+
+@_LOADERS
+def test_a_repeated_bad_literal_raises_the_first_error(load):
+    with pytest.raises(ValueError) as info:
+        load(_document(load, RATIONAL, ['"1/0"', '"1/0"', '"x"']))
+    assert str(info.value) == "zero denominator in '1/0'"
+
+
+# few distinct JSON texts, so that literals repeat; good and bad ones in every field
+_ITEM = st.sampled_from(
+    ['"1"', '"-2/3"', '"007/010"', '"1/0"', '"x"', "1", "0", "true", "1.0", "-0.0", "2.5", "1e999", "null"]
+    + ["[1, 2]", "[1e999, 0]", "[true, 1]"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([RATIONAL, REAL, COMPLEX]), st.lists(_ITEM, min_size=1, max_size=12))
+def test_loaders_decode_as_from_json_does_item_by_item(field, items):
+    try:
+        expected = [from_json(field, obj) for obj in load_json(f"[{', '.join(items)}]")]
+        check_finite(field, expected)
+        expected = _exact(expected)
+    except ValueError as exc:
+        expected = str(exc)
+    for load in (load_tensor, load_tt):
+        try:
+            got = _exact(_values(load, _document(load, field, items)))
+        except ValueError as exc:
+            got = str(exc)
+        assert got == expected
+
+
+def test_loaders_decode_each_distinct_rational_literal_once(monkeypatch):
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return rational_literal(text)
+
+    monkeypatch.setattr(scalars_module, "rational_literal", counted)
+    levels = [["1"], ["1/2", "-1"], ["0", "1/2", "-1", "0"], ["1", "0", "0", "1/2", "-1", "1", "0", "1"]]
+    x = load_tt(json.dumps({"d": 2, "N": 3, "field": RATIONAL, "levels": levels}))
+    assert x.flats == [[Fraction(c) for c in lvl] for lvl in levels]
+    assert sorted(calls) == ["-1", "0", "1", "1/2"]
+    calls.clear()
+    coeffs = [c for lvl in levels for c in lvl]
+    t = load_tensor(json.dumps({"shape": [3, 5], "field": RATIONAL, "coeffs": coeffs}))
+    assert t.coeffs == [Fraction(c) for c in coeffs]
+    assert sorted(calls) == ["-1", "0", "1", "1/2"]
+    calls.clear()
+    load_tensor(json.dumps({"shape": [3], "field": RATIONAL, "coeffs": ["1", "1", "1"]}))
+    assert calls == ["1"]  # nothing is kept between documents
 
 
 # -- the one JSON writer, behind both library writers --------------------------
