@@ -29,7 +29,7 @@ import math
 import operator
 import random
 import re
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import product as iter_product
@@ -97,12 +97,18 @@ class SlotVector(_Immutable):
     def is_zero(self) -> bool:
         return not self.entries
 
+    def _key(self) -> frozenset:
+        # the constructor makes the symbols unique, so the entry set is the
+        # slot's value up to the listing order
+        return frozenset(self.entries)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, SlotVector):
             return NotImplemented
-        return dict(self.entries) == dict(other.entries)
+        return self._key() == other._key()
 
-    __hash__ = None
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"SlotVector({self.entries!r})"
@@ -132,17 +138,7 @@ class TensorExpr(_Immutable):
         # first-appearance orders
         if not isinstance(other, TensorExpr):
             return NotImplemented
-        if self.field != other.field or len(self.terms) != len(other.terms):
-            return False
-        remaining = list(other.terms)
-        for t in self.terms:
-            for i, s in enumerate(remaining):
-                if t == s:
-                    del remaining[i]
-                    break
-            else:
-                return False
-        return True
+        return self.field == other.field and Counter(self.terms) == Counter(other.terms)
 
     __hash__ = None
 
@@ -249,6 +245,10 @@ class _Parser:
             return SlotVector(((tok[1], Fraction(1)),))
         if tok[0] == "(":
             self.next()
+            # a number of value 0 alone, as _render_slot prints the zero slot
+            if self.peek()[:2] == ("num", 0) and self.tokens[self.i + 1][0] == ")":
+                self.i += 2
+                return SlotVector(())
             sv = SlotVector(self.parse_signed_sum(self.parse_combo_entry))
             self.expect(")")
             return sv
@@ -329,9 +329,9 @@ def _render_slot(field: str, sv: SlotVector) -> str:
 
 def render(e: TensorExpr) -> str:
     """Canonical textual form: :func:`parse` reads it back when the field is
-    rational, the zero expression ``0`` included.  Real and complex
-    coefficients print as decimals, which the expression grammar does not
-    read."""
+    rational, the zero expression ``0`` and the zero slot ``(0)`` included.
+    Real and complex coefficients print as decimals, which the expression
+    grammar does not read."""
     if not e.terms:
         return "0"
     return _signed_join(
@@ -458,11 +458,16 @@ def factor_exact_order2(e: TensorExpr, route: str = "rref") -> TensorExpr:
 
 
 def factor_greedy(e: TensorExpr, direction: str = "left") -> TensorExpr:
-    """Naive grouping: repeatedly merge term pairs that agree on all slots
-    but one.  ``direction`` picks which slot is tried first ("left" merges
-    the first-slot factors first, "right" the last-slot factors).  The
-    result re-expands to the input but need not be minimal; the loop can
-    get stuck above the rank.
+    """Naive grouping: merge the terms that agree on all slots but one.
+    ``direction`` picks which slot is tried first ("left" merges the
+    first-slot factors first, "right" the last-slot factors).  The result
+    re-expands to the input but need not be minimal; the loop can get stuck
+    above the rank.
+
+    For each slot ``k`` in turn, one pass groups the terms by their other
+    slots.  A group of two or more becomes one term at its first member's
+    place, with coefficient one and, in slot ``k``, every member's entries
+    times its coefficient.  The slot loop repeats until nothing merges.
     """
     if direction not in ("left", "right"):
         raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
@@ -472,38 +477,25 @@ def factor_greedy(e: TensorExpr, direction: str = "left") -> TensorExpr:
     m = ex.order
     if m < 2:
         raise ValueError("grouping needs at least 2 slots")
-    slot_order = list(range(m)) if direction == "left" else list(range(m - 1, -1, -1))
-    work = [(t.coefficient, list(t.slots)) for t in ex.terms]
+    slot_order = range(m) if direction == "left" else range(m - 1, -1, -1)
     one = scalars.one(ex.field)
 
-    def merge_at(k: int) -> bool:
-        for i in range(len(work)):
-            ci, si = work[i]
-            for j in range(i + 1, len(work)):
-                cj, sj = work[j]
-                if all(si[x] == sj[x] for x in range(m) if x != k):
-                    merged = SlotVector(
-                        (s, c * a) for c, sv in ((ci, si[k]), (cj, sj[k])) for s, a in sv.entries
-                    )
-                    del work[j]
-                    if merged.is_zero():
-                        del work[i]
-                    else:
-                        slots = list(si)
-                        slots[k] = merged
-                        work[i] = (one, slots)
-                    return True
-        return False
+    def merged(group, k: int) -> Term:
+        slot = SlotVector((s, t.coefficient * a) for t in group for s, a in t.slots[k].entries)
+        return Term(one, group[0].slots[:k] + (slot,) + group[0].slots[k + 1 :])
 
+    work = ex.terms
     changed = True
     while changed:
         changed = False
         for k in slot_order:
-            while merge_at(k):
+            groups = {}  # insertion order is first-appearance order
+            for t in work:
+                groups.setdefault(t.slots[:k] + t.slots[k + 1 :], []).append(t)
+            if len(groups) < len(work):
                 changed = True
-    return TensorExpr(
-        tuple(Term(c, tuple(slots)) for c, slots in work), ex.field
-    )
+                work = tuple(g[0] if len(g) == 1 else merged(g, k) for g in groups.values())
+    return TensorExpr(work, ex.field)
 
 
 # -- alternating least squares for order >= 3 ---------------------------------

@@ -102,6 +102,26 @@ def test_unit_shape():
     assert unit(1, 0).levels[0] == DenseTensor.scalar(1)
 
 
+def test_level_of_the_wrong_shape_is_refused():
+    with pytest.raises(ValueError) as info:
+        TruncatedTensor(2, 1, [DenseTensor.scalar(1), DenseTensor.vector([1, 2, 3])])
+    assert str(info.value) == "level 1 must have shape (2,), got (3,)"
+
+
+def test_word_longer_than_the_truncation_level_is_refused():
+    with pytest.raises(IndexError) as info:
+        unit(2, 1).word_coefficient((1, 2))
+    assert str(info.value) == "word of length 2 exceeds truncation level 1"
+
+
+def test_equality_against_another_type_or_d_or_N_or_field():
+    x = unit(2, 1)
+    assert x.__eq__(1) is NotImplemented and x != 1
+    assert x != unit(3, 1)
+    assert x != unit(2, 2)
+    assert x != unit(2, 1, REAL)
+
+
 def test_level_index_out_of_range():
     x = unit(2, 2)
     assert [x.level(n).shape for n in range(3)] == [(), (2,), (2, 2)]

@@ -416,8 +416,9 @@ def test_algebra_mul(tmp_path, capsys):
         (["mul", "x"], "mul needs exactly two operand files"),
         (["inv", "x", "y"], "inv needs exactly one operand file"),
         (["project", "x", "y", "--level", "0"], "project needs exactly one operand file"),
+        (["project", "x"], "project needs --level"),
     ],
-    ids=["mul-one-file", "inv-two-files", "project-two-files"],
+    ids=["mul-one-file", "inv-two-files", "project-two-files", "project-no-level"],
 )
 def test_algebra_refuses_a_wrong_operand_count(tmp_path, capsys, argv, message):
     paths = {"x": tmp_path / "x.json", "y": tmp_path / "y.json"}
@@ -425,6 +426,10 @@ def test_algebra_refuses_a_wrong_operand_count(tmp_path, capsys, argv, message):
     paths["y"].write_text(Y_JSON, encoding="utf-8")
     code, out, err = run(capsys, "algebra", *(str(paths.get(a, a)) for a in argv))
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_expand_reads_a_zero_slot_back(capsys):
+    assert run(capsys, "expand", "(0)@b1 + a1@b1") == (0, "a1@b1\n", "")
 
 
 def test_algebra_inv_unit(tmp_path, capsys):

@@ -312,6 +312,14 @@ def test_float_equality_tolerance():
     assert a != c
 
 
+def test_equality_against_another_type_or_shape_or_field():
+    a = vec(1, 2)
+    assert a.__eq__((1, 2)) is NotImplemented and a != (1, 2)
+    assert a != vec(1, 2, 3)
+    assert a != mat([[1, 2]])
+    assert a != DenseTensor.vector([1.0, 2.0], REAL)
+
+
 def test_mixed_field_never_promotes():
     with pytest.raises(FieldMismatchError):
         tensor_product(vec(1), DenseTensor.vector([1.0], REAL))
@@ -366,3 +374,9 @@ def test_json_rational_strings():
 def test_json_loader_rejects_malformed(text):
     with pytest.raises(ValueError):
         load_tensor(text)
+
+
+def test_json_loader_refuses_a_shape_that_is_not_a_list():
+    with pytest.raises(ValueError) as info:
+        load_tensor('{"shape": 2, "coeffs": ["1", "2"]}')
+    assert str(info.value) == "'shape' must be a list of JSON integers, got 2"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import tenalg.expr as expr_module
 import tenalg.rank as rank_module
+from tenalg import scalars
 from tenalg import (
     COMPLEX,
     RATIONAL,
@@ -194,6 +195,39 @@ def test_parse_parenthesized_combos():
     left, right = e.terms[0].slots
     assert dict(left.entries) == {"a1": F(1), "a2": F(2)}
     assert dict(right.entries) == {"b1": F(1), "b2": F(-1)}
+
+
+def test_a_zero_slot_renders_as_0_in_parentheses_and_parses_back():
+    e = parse("(a1 - a1)@b1 + a2@b2")
+    assert render(e) == "(0)@b1 + a2@b2"
+    assert parse(render(e)) == e
+    assert e.terms[0].slots[0].is_zero()
+
+
+@pytest.mark.parametrize("text", ["(0)@b1", "(0/7)@b1", "( 0 )@b1", "(00)@b1", "a1@(0)", "(0)@(0)"])
+def test_parse_reads_a_number_of_value_0_in_parentheses_as_the_zero_slot(text):
+    e = parse(text)
+    assert len(e.terms) == 1 and any(sv.is_zero() for sv in e.terms[0].slots)
+    assert parse(render(e)) == e
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(1)@b1", "expected 'ident', found ')' (at position 2)"),
+        ("(-0)@b1", "expected 'ident', found ')' (at position 3)"),
+        ("(0*)@b1", "expected 'ident', found ')' (at position 3)"),
+        ("(0 0)@b1", "expected 'ident', found Fraction(0, 1) (at position 3)"),
+        ("()@b1", "expected 'ident', found ')' (at position 1)"),
+        ("(0", "expected 'ident', found end of input (at position 2)"),
+        ("0@b1", "expected a symbol or '(', found '@' (at position 1)"),
+        ("a1@b1)", "unexpected ')' (at position 5)"),
+    ],
+)
+def test_parse_refuses_other_parenthesised_numbers_as_before(text, message):
+    with pytest.raises(ExprSyntaxError) as info:
+        parse(text)
+    assert str(info.value) == message
 
 
 def test_parse_rejects_nested_products_in_parens():
@@ -471,6 +505,96 @@ def test_greedy_higher_order():
     f = factor_greedy(e, "left")
     assert len(f.terms) == 1
     assert expand(f) == expand(e)
+
+
+def test_greedy_of_the_zero_expression_and_of_one_slot():
+    assert render(factor_greedy(parse("0"))) == "0"
+    with pytest.raises(ValueError) as info:
+        factor_greedy(parse("a1 + a2"))
+    assert str(info.value) == "grouping needs at least 2 slots"
+
+
+def _reference_factor_greedy(e, direction="left"):
+    """The grouping loop as it was before it grouped by key: each merge
+    rescans every pair of terms from the start."""
+    if direction not in ("left", "right"):
+        raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
+    ex = expand(e)
+    if not ex.terms:
+        return ex
+    m = ex.order
+    if m < 2:
+        raise ValueError("grouping needs at least 2 slots")
+    slot_order = list(range(m)) if direction == "left" else list(range(m - 1, -1, -1))
+    work = [(t.coefficient, list(t.slots)) for t in ex.terms]
+    one = scalars.one(ex.field)
+
+    def merge_at(k: int) -> bool:
+        for i in range(len(work)):
+            ci, si = work[i]
+            for j in range(i + 1, len(work)):
+                cj, sj = work[j]
+                if all(si[x] == sj[x] for x in range(m) if x != k):
+                    merged = SlotVector(
+                        (s, c * a) for c, sv in ((ci, si[k]), (cj, sj[k])) for s, a in sv.entries
+                    )
+                    del work[j]
+                    if merged.is_zero():
+                        del work[i]
+                    else:
+                        slots = list(si)
+                        slots[k] = merged
+                        work[i] = (one, slots)
+                    return True
+        return False
+
+    changed = True
+    while changed:
+        changed = False
+        for k in slot_order:
+            while merge_at(k):
+                changed = True
+    return TensorExpr(
+        tuple(Term(c, tuple(slots)) for c, slots in work), ex.field
+    )
+
+
+_greedy_coefficients = st.sampled_from([F(1), F(-1), F(2), F(-1, 2), F(3, 4), F(0)])
+
+
+@st.composite
+def _greedy_expressions(draw):
+    """Expressions of 2-4 slots over at most 3 symbols a slot (2 for 4
+    slots): grouped slots, zero slot entries, and terms repeated with the
+    opposite sign so that parts of the expansion cancel.  Mostly rational;
+    the real and complex ones hold the same small values, whose products
+    carry signed zero parts over C."""
+    order = draw(st.integers(2, 4))
+    width = 2 if order == 4 else 3
+
+    def slot(k):
+        picks = draw(st.lists(st.integers(1, width), min_size=1, max_size=width, unique=True))
+        return SlotVector([(f"{'abcd'[k]}{i}", draw(_greedy_coefficients)) for i in picks])
+
+    terms = [
+        Term(draw(_greedy_coefficients.filter(bool)), tuple(slot(k) for k in range(order)))
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    terms += [Term(-t.coefficient, t.slots) for t in draw(st.lists(st.sampled_from(terms), max_size=2))]
+    field = draw(st.sampled_from([RATIONAL, RATIONAL, REAL, COMPLEX]))
+    return TensorExpr(tuple(draw(st.permutations(terms))), field)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_greedy_expressions())
+@example(parse(X0B))
+@example(parse("(a1 + a2 + a3)@(b1 + b2)@c1 + a1@b3@c2 - a1@b1@c1"))
+def test_greedy_matches_the_pairwise_reference(e):
+    for direction in ("left", "right"):
+        got = factor_greedy(e, direction)
+        want = _reference_factor_greedy(e, direction)
+        assert render(got) == render(want)
+        assert repr(got) == repr(want)
 
 
 # -- ALS heuristic ---------------------------------------------------------------------
@@ -938,6 +1062,17 @@ def test_heuristic_rejects_rational_field():
         factor_heuristic_higher_order(parse(Z_EXPR), 2, RATIONAL)
 
 
+def test_heuristic_refuses_max_rank_0():
+    with pytest.raises(ValueError) as info:
+        factor_heuristic_higher_order(parse(Z_EXPR), 0)
+    assert str(info.value) == "max_rank must be >= 1"
+
+
+@pytest.mark.parametrize("text", ["0", "a@b@c - a@b@c"], ids=["no-terms", "cancelling-terms"])
+def test_heuristic_of_a_zero_expression_has_no_terms(text):
+    assert factor_heuristic_higher_order(parse(text), 1) == (TensorExpr((), REAL), "verified-upper-bound")
+
+
 def test_exact_rejects_non_rational():
     slots = (SlotVector((("a1", 1.0),)), SlotVector((("b1", 1.0),)))
     with pytest.raises(FieldMismatchError):
@@ -982,6 +1117,98 @@ def test_slot_vector_equality_is_order_insensitive():
     assert SlotVector((("a", F(1)), ("b", F(2)))) == SlotVector(
         (("b", F(2)), ("a", F(1)))
     )
+
+
+_slot_entries = st.lists(
+    st.tuples(st.sampled_from("abcd"), st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(3)])), max_size=6
+)
+
+
+@given(_slot_entries.flatmap(lambda entries: st.tuples(st.just(entries), st.permutations(entries))))
+def test_slot_vectors_from_permuted_entries_are_equal_and_hash_equal(pair):
+    entries, permuted = pair
+    a, b = SlotVector(entries), SlotVector(permuted)
+    assert a == b and hash(a) == hash(b)
+
+
+def test_slot_vectors_and_terms_hash_and_tensor_expressions_do_not():
+    # equal coefficients of different numeric types hash equal
+    a = SlotVector([("a", 1), ("b", F(1, 2))])
+    b = SlotVector([("b", 0.5), ("a", F(1))])
+    assert a == b and hash(a) == hash(b)
+    assert a != SlotVector([("a", 1)]) and a != SlotVector([("a", 1), ("b", F(1, 3))])
+    assert a.__eq__(("a", 1)) is NotImplemented
+    assert hash(Term(F(2), (a, b))) == hash(Term(2, (b, a)))
+    with pytest.raises(TypeError):
+        hash(parse("a1@b1"))
+
+
+def _reference_expr_eq(a, b):
+    """TensorExpr equality as it was before it counted terms: each term of
+    ``a`` removes one equal remaining term of ``b``."""
+    if a.field != b.field or len(a.terms) != len(b.terms):
+        return False
+    remaining = list(b.terms)
+    for t in a.terms:
+        for i, s in enumerate(remaining):
+            if t == s:
+                del remaining[i]
+                break
+        else:
+            return False
+    return True
+
+
+_eq_terms = st.builds(
+    Term,
+    st.sampled_from([F(1), F(-1), F(2)]),
+    st.tuples(
+        st.builds(SlotVector, st.lists(st.tuples(st.sampled_from(["a1", "a2"]), st.sampled_from([F(1), F(2)])), max_size=2)),
+        st.builds(SlotVector, st.lists(st.tuples(st.just("b1"), st.just(F(1))), min_size=1, max_size=1)),
+    ),
+)
+_eq_fields = st.sampled_from([RATIONAL, REAL, COMPLEX])
+
+
+def _reordered(e):
+    """The same terms listed in reverse, each slot's entries in reverse."""
+    return TensorExpr(
+        tuple(Term(t.coefficient, tuple(SlotVector(sv.entries[::-1]) for sv in t.slots)) for t in e.terms[::-1]),
+        e.field,
+    )
+
+
+@st.composite
+def _expr_pairs(draw):
+    a = TensorExpr(tuple(draw(st.lists(_eq_terms, max_size=4))), draw(_eq_fields))
+    how = draw(st.sampled_from(["independent", "reordered", "field", "one term changed"]))
+    if how == "independent":
+        b = TensorExpr(tuple(draw(st.lists(_eq_terms, max_size=4))), draw(_eq_fields))
+    elif how == "reordered":
+        b = _reordered(a)
+    elif how == "field":
+        b = TensorExpr(a.terms, draw(_eq_fields))
+    else:
+        terms = list(a.terms)
+        if terms:
+            terms[draw(st.integers(0, len(terms) - 1))] = draw(_eq_terms)
+        b = TensorExpr(tuple(terms), a.field)
+    return a, b
+
+
+@settings(max_examples=300)
+@given(_expr_pairs())
+def test_tensor_expression_equality_matches_the_pairwise_reference(pair):
+    a, b = pair
+    want = _reference_expr_eq(a, b)
+    assert (a == b) is want and (b == a) is want and (a != b) is not want
+
+
+def test_tensor_expression_equality_counts_repeated_terms():
+    t, u = parse("a1@b1").terms[0], parse("a2@b1").terms[0]
+    assert TensorExpr((t, t, u)) != TensorExpr((t, u, u))
+    assert TensorExpr((t, u, t)) == TensorExpr((u, t, t))
+    assert parse("a1@b1").__eq__("a1@b1") is NotImplemented
 
 
 def test_render_real_golden():

@@ -388,6 +388,10 @@ def test_svd_decompose_zero():
     assert dec.r == 0 and dec.d1 == () and dec.d2 == ()
 
 
+def test_matrix_rank_of_the_zero_matrix_by_svd():
+    assert matrix_rank([[0, 0], [0, 0]], "svd") == 0
+
+
 def test_svd_decompose_B():
     assert rank_decompose_svd(B).r == 2
 

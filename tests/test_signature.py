@@ -74,8 +74,33 @@ def test_constant_path_gives_unit_exactly():
 
 
 def test_empty_path_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         PiecewiseLinearPath([])
+    assert str(info.value) == "a path needs at least one sample point"
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ([[]], "sample points must have dimension >= 1"),
+        ([[1], [1, 2]], "all sample points must share one dimension"),
+    ],
+    ids=["no-coordinates", "ragged"],
+)
+def test_path_refusals_name_the_fault(points, message):
+    with pytest.raises(ValueError) as info:
+        PiecewiseLinearPath(points)
+    assert str(info.value) == message
+
+
+def test_path_parameters_outside_the_unit_interval_are_refused():
+    p = PiecewiseLinearPath([[0], [1]])
+    with pytest.raises(ValueError) as info:
+        p.at(1.5)
+    assert str(info.value) == "parameter 1.5 outside [0, 1]"
+    with pytest.raises(ValueError) as info:
+        path_signature(p, 2, 0.75, 0.25)
+    assert str(info.value) == "need 0 <= s <= t <= 1, got s=0.75, t=0.25"
 
 
 @pytest.mark.parametrize(
