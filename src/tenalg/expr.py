@@ -157,29 +157,31 @@ _TOKEN_RE = re.compile(
 
 
 def _tokenize(text: str):
+    """The tokens of ``text``: ``(kind, value, position, source text)``."""
     tokens = []
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
+        word = m.group()
         if m.lastgroup == "num":
             try:
-                tokens.append(("num", scalars.rational_literal(m.group()), pos))
+                tokens.append(("num", scalars.rational_literal(word), pos, word))
             except ValueError as exc:
                 raise ExprSyntaxError(str(exc), pos) from None
         elif m.lastgroup == "ident":
-            tokens.append(("ident", m.group(), pos))
+            tokens.append(("ident", word, pos, word))
         elif m.lastgroup == "op":
-            tokens.append((m.group(), m.group(), pos))
+            tokens.append((word, word, pos, word))
         pos = m.end()
-    tokens.append(("end", None, len(text)))
+    tokens.append(("end", None, len(text), ""))
     return tokens
 
 
 def _found(tok) -> str:
-    """A token as an error message names it."""
-    return "end of input" if tok[0] == "end" else repr(tok[1])
+    """A token as an error message names it: quoted as it was written."""
+    return "end of input" if tok[0] == "end" else repr(tok[3])
 
 
 class _Parser:
@@ -206,7 +208,7 @@ class _Parser:
         terms = self.parse_signed_sum(self.parse_term)
         tok = self.peek()
         if tok[0] != "end":
-            raise ExprSyntaxError(f"unexpected {tok[1]!r}", tok[2])
+            raise ExprSyntaxError(f"unexpected {_found(tok)}", tok[2])
         return terms
 
     def parse_signed_sum(self, parse_item) -> list:

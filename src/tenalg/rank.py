@@ -180,10 +180,6 @@ def rank_decompose_rref(M) -> RankDecomposition:
 # -- floating SVD route ------------------------------------------------------
 
 
-def _transpose(A):
-    return [list(col) for col in zip(*A)]
-
-
 def _exponent(values) -> int:
     """The k with 2^k <= max|v| < 2^(k+1) over the real or complex ``values``; -1 if all are 0.
 
@@ -312,11 +308,6 @@ def _reflect(house, x: list[float]) -> list[float]:
     return x
 
 
-def _completed(house, cols: list[list[float]], n: int) -> list[list[float]]:
-    """``cols``, then Q e_j for len(cols) <= j < n, with Q the reflectors ``house``."""
-    return cols + [_reflect(house, [float(i == j) for i in range(n)]) for j in range(len(cols), n)]
-
-
 def _qr_jacobi(cols, vectors: bool):
     """SVD of a tall matrix A, given as its p columns of length N >= p: ``(sigma, U, V)``.
 
@@ -332,10 +323,10 @@ def _qr_jacobi(cols, vectors: bool):
 
     ``sigma`` holds the norms of C, non-increasing and scaled back by 2^s
     (:class:`ValueError` if one leaves the float range), then p - k zeros.
-    With ``vectors`` set, W is accumulated and U (N columns) is Q applied to
-    W padded with zeros, completed by Q's own columns Q e_j for j >= k; V (p
-    columns) is P applied to C's columns normalized, completed by the same
-    rule from a QR of those columns.  Without it U and V are None, and W,
+    With ``vectors`` set, W is accumulated, and U and V hold one column for
+    each column of C with a positive norm, in sigma's order: U's (length N)
+    is Q applied to W's column padded with zeros, V's (length p) is P
+    applied to C's column normalized.  Without it U and V are None, and W,
     which never feeds back into R, is not formed: sigma has the same bits.
     """
     s = _exponent(x for col in cols for x in col)
@@ -353,16 +344,14 @@ def _qr_jacobi(cols, vectors: bool):
         raise ValueError("a singular value of the matrix exceeds the float range") from None
     if not vectors:
         return sig, None, None
-    U = _completed(house, [_reflect(house, W[l] + [0.0] * (N - k)) for l in order], N)
-    V = []
+    U, V = [], []
     for l, sg in zip(order, scaled):
         if sg > 0.0:
+            U.append(_reflect(house, W[l] + [0.0] * (N - k)))
             v = [0.0] * p
             for j, x in zip(perm, R[l]):
                 v[j] = x / sg
             V.append(v)
-    if len(V) < p:
-        V = _completed(_householder_qr(V[:], 0.0)[1], V, p)
     return sig, U, V
 
 
@@ -382,13 +371,16 @@ def svd(M) -> tuple[list[list[float]], list[float], list[list[float]]]:
     ``M`` is a real or rational order-2 tensor or a list of equally long
     rows of ints, floats and Fractions, all finite; a NaN or an infinity
     raises :class:`ValueError`.
-    Returns (U, sigma, Vt): U is n x n, Vt is m x m, both orthogonal within
-    EPS_SVD; sigma holds the min(n, m) singular values, non-negative and
-    non-increasing; the values of a trailing block that pivoted QR drops
-    (norm at most ``_QR_DROP`` times the rank threshold of
-    :func:`numeric_rank`, see :func:`_qr_jacobi`) are reported as 0.
-    U diag(sigma) Vt reconstructs M within EPS_SVD * sigma_max plus that norm.
-    Signs are fixed: for l < min(n, m) the entry of largest magnitude in
+    Returns (U, sigma, Vt): sigma holds the min(n, m) singular values,
+    non-negative and non-increasing; the values of a trailing block that
+    pivoted QR drops (norm at most ``_QR_DROP`` times the rank threshold of
+    :func:`numeric_rank`, see :func:`_qr_jacobi`) are reported as 0.  U is
+    n x q and Vt is q x m, one pair of singular vectors for each of the q
+    singular values the kernel computed as positive, so q <= min(n, m) and
+    sigma[q:] is all 0; the columns of U and the rows of Vt are orthonormal
+    within EPS_SVD.  A zero matrix gives n empty rows and an empty Vt.
+    U diag(sigma[:q]) Vt reconstructs M within EPS_SVD * sigma_max plus that
+    norm.  Signs are fixed: for l < q the entry of largest magnitude in
     column l of U (the first such entry on ties) is positive, and row l of
     Vt has the matching sign.  The kernel computes on M times 2^-k (see
     :func:`_exponent`), so scaling M by a power of two that keeps its entries
@@ -401,15 +393,16 @@ def svd(M) -> tuple[list[list[float]], list[float], list[list[float]]]:
     if n < m:
         # M^T = U S V^T  =>  M = V S U^T
         U, V = V, U
-    for l in range(len(sig)):
+    for l in range(len(U)):
         if max(U[l], key=abs) < 0.0:
             U[l] = [-x for x in U[l]]
             V[l] = [-x for x in V[l]]
     # the columns of V are the rows of Vt
-    return _transpose(U), sig, V
+    return [[u[i] for u in U] for i in range(n)], sig, V
 
 
 def numeric_rank(sigma: Sequence[float], n: int, m: int) -> int:
+    """The count of ``sigma`` (non-increasing) above EPS_RANK * sigma[0] * max(n, m)."""
     if not sigma:
         return 0
     smax = sigma[0]

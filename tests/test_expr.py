@@ -217,11 +217,13 @@ def test_parse_reads_a_number_of_value_0_in_parentheses_as_the_zero_slot(text):
         ("(1)@b1", "expected 'ident', found ')' (at position 2)"),
         ("(-0)@b1", "expected 'ident', found ')' (at position 3)"),
         ("(0*)@b1", "expected 'ident', found ')' (at position 3)"),
-        ("(0 0)@b1", "expected 'ident', found Fraction(0, 1) (at position 3)"),
+        ("(0 0)@b1", "expected 'ident', found '0' (at position 3)"),
+        ("(a1 3/6)@b1", "expected ')', found '3/6' (at position 4)"),
         ("()@b1", "expected 'ident', found ')' (at position 1)"),
         ("(0", "expected 'ident', found end of input (at position 2)"),
         ("0@b1", "expected a symbol or '(', found '@' (at position 1)"),
         ("a1@b1)", "unexpected ')' (at position 5)"),
+        ("a1@b1 2/4", "unexpected '2/4' (at position 6)"),
     ],
 )
 def test_parse_refuses_other_parenthesised_numbers_as_before(text, message):

@@ -51,3 +51,36 @@ def _tenalg_imports(module: str) -> set:
 def test_a_module_imports_only_the_modules_it_is_allowed(module):
     assert module in ALLOWED, f"{module}.py is new: add its row to ALLOWED"
     assert _tenalg_imports(module) <= ALLOWED[module]
+
+
+def _private_definitions(tree) -> set:
+    """The module-level ``_name`` functions, classes and assigned constants."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+
+
+def _names_read(tree) -> set:
+    """Every name the code reads: a loaded name or attribute, or an imported
+    name.  Docstrings and comments are not code, so they do not count."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_every_private_module_level_name_is_read_somewhere_in_the_package():
+    trees = {m: ast.parse((PACKAGE / f"{m}.py").read_text(encoding="utf-8")) for m in MODULES}
+    read = set().union(*map(_names_read, trees.values()))
+    unused = sorted(f"{m}.{name}" for m, tree in trees.items() for name in _private_definitions(tree) - read)
+    assert not unused, f"defined but never read in src/tenalg: {unused}"

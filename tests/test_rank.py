@@ -313,8 +313,9 @@ def test_rref_reconstruction_check_survives_optimize():
 
 
 def _reconstruct(U, sig, Vt, n, m):
+    """U diag(sigma[:q]) Vt for the q pairs returned; sigma[q:] is 0."""
     out = [[0.0] * m for _ in range(n)]
-    for l, s in enumerate(sig):
+    for l, s in enumerate(sig[: len(Vt)]):
         for i in range(n):
             for j in range(m):
                 out[i][j] += U[i][l] * s * Vt[l][j]
@@ -325,21 +326,25 @@ def _max_abs_diff(X, Y):
     return max(abs(a - b) for rx, ry in zip(X, Y) for a, b in zip(rx, ry))
 
 
-def _orthogonality_defect(Q):
-    n = len(Q)
+def _orthonormality_defect(vectors):
+    """max |v_i . v_j - [i == j]|: 0 for orthonormal ``vectors``."""
     worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            dot = sum(Q[r][i] * Q[r][j] for r in range(n))
+    for i, vi in enumerate(vectors):
+        for j, vj in enumerate(vectors):
+            dot = sum(a * b for a, b in zip(vi, vj))
             worst = max(worst, abs(dot - (1.0 if i == j else 0.0)))
     return worst
+
+
+def _orthonormality_defects(U, Vt):
+    """The defects of U^T U = I_q (U's columns) and Vt Vt^T = I_q (Vt's rows)."""
+    return _orthonormality_defect(_transpose(U)), _orthonormality_defect(Vt)
 
 
 def test_svd_diagonal():
     U, sig, Vt = svd([[3.0, 0.0], [0.0, 1.0]])
     assert sig == [3.0, 1.0]
-    assert _orthogonality_defect(U) <= 1e-10
-    assert _orthogonality_defect(Vt) <= 1e-10
+    assert max(_orthonormality_defects(U, Vt)) <= 1e-10
 
 
 def test_svd_rank_one_singular_values():
@@ -352,9 +357,10 @@ def test_svd_random_reconstruction():
     rng = random.Random(7)
     mat = [[rng.uniform(-3, 3) for _ in range(3)] for _ in range(4)]
     U, sig, Vt = svd(mat)
+    assert len(U) == 4 and all(len(row) == 3 for row in U)
+    assert len(Vt) == 3 and all(len(row) == 3 for row in Vt)
     assert _max_abs_diff(_reconstruct(U, sig, Vt, 4, 3), mat) <= 1e-9
-    assert _orthogonality_defect(U) <= 1e-10
-    assert _orthogonality_defect(Vt) <= 1e-10
+    assert max(_orthonormality_defects(U, Vt)) <= 1e-10
     assert all(s1 >= s2 >= 0 for s1, s2 in zip(sig, sig[1:]))
 
 
@@ -362,17 +368,18 @@ def test_svd_wide_matrix():
     rng = random.Random(9)
     mat = [[rng.uniform(-2, 2) for _ in range(5)] for _ in range(2)]
     U, sig, Vt = svd(mat)
-    assert len(U) == 2 and len(U[0]) == 2
-    assert len(Vt) == 5 and len(Vt[0]) == 5
+    # full rank: q = 2 pairs, U is 2 x 2 and Vt is 2 x 5
+    assert len(U) == 2 and all(len(row) == 2 for row in U)
+    assert len(Vt) == 2 and all(len(row) == 5 for row in Vt)
     assert len(sig) == 2
     assert _max_abs_diff(_reconstruct(U, sig, Vt, 2, 5), mat) <= 1e-9
-    assert _orthogonality_defect(Vt) <= 1e-10
+    assert max(_orthonormality_defects(U, Vt)) <= 1e-10
 
 
 def test_svd_zero_matrix():
     U, sig, Vt = svd([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
     assert sig == [0.0, 0.0]
-    assert _orthogonality_defect(U) <= 1e-12
+    assert U == [[], [], []] and Vt == []
 
 
 def test_svd_decompose_rank_one():
@@ -698,18 +705,22 @@ def test_the_kernel_without_vectors_keeps_every_bit_of_svd(seed):
 
 
 def _check_svd_contract(mat):
-    """The documented contract of svd: orthogonal factors, a reconstruction
-    within EPS_SVD plus the QR drop, sorted sigma and the sign rule."""
+    """The documented contract of svd: q pairs of orthonormal singular
+    vectors, a reconstruction within EPS_SVD plus the QR drop, sorted sigma
+    with sigma[q:] all 0, and the sign rule."""
     n, m = len(mat), len(mat[0])
     U, sig, Vt = svd(mat)
-    assert len(U) == n and len(Vt) == m and len(sig) == min(n, m)
-    assert _orthogonality_defect(U) <= EPS_SVD
-    assert _orthogonality_defect(Vt) <= EPS_SVD
+    q = len(Vt)
+    assert len(U) == n and all(len(row) == q for row in U)
+    assert all(len(row) == m for row in Vt)
+    assert len(sig) == min(n, m) and q <= min(n, m)
+    assert all(s == 0.0 for s in sig[q:])
+    assert max(_orthonormality_defects(U, Vt)) <= EPS_SVD
     assert all(s1 >= s2 >= 0.0 for s1, s2 in zip(sig, sig[1:] + [0.0]))
     smax = sig[0]
     drop = rank_module._QR_DROP * EPS_RANK * max(n, m) * smax
     assert _max_abs_diff(_reconstruct(U, sig, Vt, n, m), mat) <= EPS_SVD * smax + drop
-    for l in range(min(n, m)):
+    for l in range(q):
         col = [U[i][l] for i in range(n)]
         assert max(col, key=abs) > 0.0
 
@@ -739,6 +750,68 @@ def test_svd_keeps_its_contract_on_a_40x40_rank_24_matrix():
     mat = [[float(x) for x in row] for row in ints]
     _check_svd_contract(mat)
     assert rank_decompose_svd(mat).r == svd_rank(mat) == rref_rank(ints) == 24
+
+
+def _reference_completed(house, cols, n):
+    """``cols``, then Q e_j for len(cols) <= j < n, with Q the reflectors ``house``."""
+    unit = [[float(i == j) for i in range(n)] for j in range(len(cols), n)]
+    return cols + [rank_module._reflect(house, e) for e in unit]
+
+
+def _reference_qr_jacobi_vectors(cols):
+    """The kernel as it was when svd returned square factors: U completed to
+    N columns by Q's own columns, V to p columns by a second QR."""
+    s = rank_module._exponent(x for col in cols for x in col)
+    a = [[math.ldexp(x, -s) for x in col] for col in cols]
+    N, p = len(a[0]), len(a)
+    R, house, perm = rank_module._householder_qr(a, rank_module._QR_DROP * EPS_RANK * N)
+    k = len(R)
+    W = [[float(i == l) for i in range(k)] for l in range(k)]
+    norm2 = rank_module._jacobi_sweeps(R, W)
+    order = sorted(range(k), key=lambda l: -norm2[l])
+    scaled = [math.sqrt(norm2[l]) for l in order]
+    sig = [math.ldexp(sg, s) for sg in scaled + [0.0] * (p - k)]
+    U = _reference_completed(house, [rank_module._reflect(house, W[l] + [0.0] * (N - k)) for l in order], N)
+    V = []
+    for l, sg in zip(order, scaled):
+        if sg > 0.0:
+            v = [0.0] * p
+            for j, x in zip(perm, R[l]):
+                v[j] = x / sg
+            V.append(v)
+    if len(V) < p:
+        V = _reference_completed(rank_module._householder_qr(V[:], 0.0)[1], V, p)
+    return sig, U, V
+
+
+def _reference_svd(M):
+    """svd as it was when it returned an n x n U and an m x m Vt."""
+    n, m, cols = rank_module._tall(M)
+    sig, U, V = _reference_qr_jacobi_vectors(cols)
+    if n < m:
+        U, V = V, U
+    for l in range(len(sig)):
+        if max(U[l], key=abs) < 0.0:
+            U[l] = [-x for x in U[l]]
+            V[l] = [-x for x in V[l]]
+    return _transpose(U), sig, V
+
+
+PLANTED_40X40_RANK_24 = [[float(x) for x in row] for row in _planted(random.Random(24), 40, 40, 24)]
+
+
+@settings(deadline=None, max_examples=150)
+@given(scaled_planted_matrices())
+@example([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+@example(PLANTED_40X40_RANK_24)
+def test_svd_returns_the_leading_pairs_of_the_square_reference(mat):
+    for M in (mat, _transpose(mat)):
+        U, sig, Vt = svd(M)
+        U_ref, sig_ref, Vt_ref = _reference_svd(M)
+        q = len(Vt)
+        assert sig == sig_ref and all(s == 0.0 for s in sig[q:])
+        assert U == [row[:q] for row in U_ref]
+        assert Vt == Vt_ref[:q]
 
 
 @pytest.mark.parametrize("method", ["rref", "svd"])
